@@ -23,8 +23,7 @@
 //	GET  /v1/healthz       liveness
 //
 // Errors use the uniform envelope {"error": {"code", "message",
-// "retry_after_ms"}}. The unversioned routes of earlier releases remain as
-// deprecated aliases for one release.
+// "retry_after_ms"}}.
 //
 // With -shards K > 1 the cluster is partitioned into K independent
 // scheduler shards; -router picks the job-placement policy and idle slots

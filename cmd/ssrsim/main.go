@@ -81,7 +81,7 @@ func run(args []string) error {
 	var rec *trace.Recorder
 	if *traceOut != "" || *gantt || *perfetto != "" {
 		rec = &trace.Recorder{}
-		opts.Trace = rec
+		opts.OnEvent = obs.Tracer(rec)
 	}
 	var audit *obs.Audit
 	if *perfetto != "" || *auditOut != "" {

@@ -18,6 +18,7 @@ import (
 	"ssr/internal/core"
 	"ssr/internal/dag"
 	"ssr/internal/driver"
+	"ssr/internal/obs"
 	"ssr/internal/sim"
 	"ssr/internal/stats"
 	"ssr/internal/trace"
@@ -38,9 +39,9 @@ func run() error {
 	}
 	rec := &trace.Recorder{}
 	d, err := driver.New(eng, cl, driver.Options{
-		Mode:  driver.ModeSSR,
-		SSR:   core.DefaultConfig(),
-		Trace: rec,
+		Mode:    driver.ModeSSR,
+		SSR:     core.DefaultConfig(),
+		OnEvent: obs.Tracer(rec),
 	})
 	if err != nil {
 		return err

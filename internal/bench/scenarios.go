@@ -13,6 +13,7 @@ import (
 	"ssr/internal/dag"
 	"ssr/internal/driver"
 	"ssr/internal/metrics"
+	"ssr/internal/obs"
 	"ssr/internal/service"
 	"ssr/internal/shard"
 	"ssr/internal/sim"
@@ -220,7 +221,7 @@ func runFederation(short bool, k int) (uint64, string, error) {
 
 // runOnlineAdmission pushes a burst of jobs through the real-time service
 // and measures wall-clock admission→first-dispatch latency per job.
-// Decisions are driver events observed across the run; the fingerprint
+// Decisions are the driver events the service bus published; the fingerprint
 // covers only the wall-clock-independent totals (jobs completed, task
 // attempts started), since event interleaving across the runner loop is
 // timing dependent.
@@ -235,7 +236,6 @@ func runOnlineAdmission(short bool) (uint64, string, error) {
 		submitted = make(map[dag.JobID]time.Time)
 		latencies []time.Duration
 		attempts  atomic.Uint64
-		events    atomic.Uint64
 	)
 	cfg := service.Config{
 		Nodes:        24,
@@ -248,16 +248,15 @@ func runOnlineAdmission(short bool) (uint64, string, error) {
 			Mode:               driver.ModeSSR,
 			SSR:                core.DefaultConfig(),
 			ReserveMinPriority: fgPriority,
-			OnEvent: func(ev driver.Event) {
-				events.Add(1)
-				if ev.Type != driver.EventAttemptStart {
+			OnEvent: func(ev *obs.AuditEvent) {
+				if ev.Kind != obs.KindAttemptStart {
 					return
 				}
 				attempts.Add(1)
 				now := time.Now()
 				mu.Lock()
-				if t0, ok := submitted[ev.Job]; ok {
-					delete(submitted, ev.Job)
+				if t0, ok := submitted[dag.JobID(ev.Job)]; ok {
+					delete(submitted, dag.JobID(ev.Job))
 					latencies = append(latencies, now.Sub(t0))
 				}
 				mu.Unlock()
@@ -307,6 +306,10 @@ func runOnlineAdmission(short bool) (uint64, string, error) {
 		RecordExtra("admit_dispatch_p95_ms", float64(lats[len(lats)*95/100])/1e6)
 		RecordExtra("admit_dispatch_max_ms", float64(lats[len(lats)-1])/1e6)
 	}
+	ms, err := svc.Metrics()
+	if err != nil {
+		return 0, "", err
+	}
 	fp := fmt.Sprintf("jobs=%d attempts=%d", done, attempts.Load())
-	return events.Load(), fp, nil
+	return ms.EventsPublished, fp, nil
 }

@@ -265,6 +265,27 @@ func (c *Cluster) CountState(state SlotState) int {
 	return n
 }
 
+// CheckInvariants verifies the slot-state partition: every slot is in
+// exactly one of the five states, a Draining slot sits on a draining node,
+// and the reservation index holds exactly the Reserved slots. It returns
+// the first violation found, or nil.
+func (c *Cluster) CheckInvariants() error {
+	var census [Draining + 1]int
+	for _, s := range c.slots {
+		if s.state < Free || s.state > Draining {
+			return fmt.Errorf("cluster: slot %d in invalid state %d", s.ID, int(s.state))
+		}
+		if s.state == Draining && c.nodeState[s.Node] != NodeDraining {
+			return fmt.Errorf("cluster: slot %d draining on %v node %d", s.ID, c.nodeState[s.Node], s.Node)
+		}
+		census[s.state]++
+	}
+	if n := c.TotalReserved(); n != census[Reserved] {
+		return fmt.Errorf("cluster: reservation index holds %d slots, %d are Reserved", n, census[Reserved])
+	}
+	return nil
+}
+
 func (c *Cluster) transition(s *Slot, to SlotState) {
 	from := s.state
 	s.state = to

@@ -6,17 +6,10 @@ import (
 	"ssr/internal/dag"
 )
 
-// stateSum returns the per-state census; the invariant under any sequence
-// of operations is that the four states partition the slot set.
-func stateSum(c *Cluster) (free, reserved, busy, failed int) {
-	return c.CountState(Free), c.CountState(Reserved), c.CountState(Busy), c.CountState(Failed)
-}
-
 func checkPartition(t *testing.T, c *Cluster) {
 	t.Helper()
-	f, r, b, x := stateSum(c)
-	if f+r+b+x != c.NumSlots() {
-		t.Fatalf("state census %d+%d+%d+%d != %d slots", f, r, b, x, c.NumSlots())
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -215,4 +208,30 @@ func TestFailNodeLeavesOtherReservationsIntact(t *testing.T) {
 		t.Fatalf("ReservedJobs = %v, want [2]", jobs)
 	}
 	checkPartition(t, c)
+}
+
+// TestCheckInvariantsCatchesViolations breaks a consistent cluster one way
+// at a time and expects CheckInvariants to report each break.
+func TestCheckInvariantsCatchesViolations(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(c *Cluster)
+	}{
+		{"invalid state", func(c *Cluster) { c.slots[0].state = 0 }},
+		{"draining on an up node", func(c *Cluster) { c.slots[0].state = Draining }},
+		{"reserved outside the index", func(c *Cluster) { c.slots[0].state = Reserved }},
+	}
+	for _, tc := range cases {
+		c, err := New(2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("fresh cluster: %v", err)
+		}
+		tc.corrupt(c)
+		if err := c.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants returned nil", tc.name)
+		}
+	}
 }

@@ -56,7 +56,7 @@ func (d *Driver) observeFinish(jr *jobRun, dur time.Duration) {
 	if !refit {
 		return
 	}
-	d.audit(obs.AuditEvent{Kind: obs.KindAdapt, Job: int64(jr.job.ID),
+	d.emit(&obs.AuditEvent{Kind: obs.KindAdapt, Job: int64(jr.job.ID),
 		JobName: jr.job.Name, Slot: -1, Src: rec.Reason, Class: rec.Class,
 		Count: rec.Window, KS: rec.KS,
 		Alpha: rec.NewAlpha, P: rec.NewP, TmSec: rec.NewTmSec,

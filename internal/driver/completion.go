@@ -5,7 +5,6 @@ import (
 	"ssr/internal/core"
 	"ssr/internal/obs"
 	"ssr/internal/sim"
-	"ssr/internal/trace"
 )
 
 // onFinish handles a task attempt reaching its finish time. The first
@@ -38,10 +37,7 @@ func (d *Driver) onFinish(att *attempt) {
 	d.observeFinish(jr, d.eng.Now()-att.start)
 	if att.isCopy {
 		jr.stats.CopiesWon++
-		if d.opts.Metrics != nil {
-			d.opts.Metrics.CopiesWon.Inc()
-		}
-		d.audit(obs.AuditEvent{Kind: obs.KindCopyWin, Job: int64(jr.job.ID),
+		d.emit(&obs.AuditEvent{Kind: obs.KindCopyWin, Job: int64(jr.job.ID),
 			JobName: jr.job.Name, Phase: pr.phase.ID, Task: att.taskIdx, Slot: int(att.slot)})
 	}
 	delete(d.slotOwner, att.slot)
@@ -60,22 +56,13 @@ func (d *Driver) onFinish(att *attempt) {
 		jr.running--
 		haveLoser = true
 		if loser.isCopy {
-			if d.opts.Metrics != nil {
-				d.opts.Metrics.CopiesKilled.Inc()
-			}
-			d.audit(obs.AuditEvent{Kind: obs.KindCopyKill, Job: int64(jr.job.ID),
+			d.emit(&obs.AuditEvent{Kind: obs.KindCopyKill, Job: int64(jr.job.ID),
 				JobName: jr.job.Name, Phase: pr.phase.ID, Task: loser.taskIdx, Slot: int(loser.slot)})
 		}
 	}
-	if d.opts.Trace != nil {
-		d.traceAttempt(att, false)
-		if haveLoser {
-			d.traceAttempt(loser, true)
-		}
-	}
-	d.emitAttempt(EventAttemptFinish, att)
+	d.attemptEvent(obs.KindAttemptFinish, att, "")
 	if haveLoser {
-		d.emitAttempt(EventAttemptKill, loser)
+		d.attemptEvent(obs.KindAttemptKill, loser, "")
 	}
 	task.orig = nil
 	task.dup = nil
@@ -120,23 +107,6 @@ func (d *Driver) onFinish(att *attempt) {
 	}
 }
 
-// traceAttempt exports one finished or killed attempt to the trace
-// recorder.
-func (d *Driver) traceAttempt(att *attempt, killed bool) {
-	d.opts.Trace.Append(trace.Event{
-		Job:     att.pr.jr.job.ID,
-		JobName: att.pr.jr.job.Name,
-		Phase:   att.pr.phase.ID,
-		Task:    att.taskIdx,
-		Slot:    int(att.slot),
-		Copy:    att.isCopy,
-		Local:   att.local,
-		Killed:  killed,
-		Start:   att.start,
-		End:     d.eng.Now(),
-	})
-}
-
 // routeFreedSlot applies a tracker decision to the slot vacated by a
 // finished or killed attempt. A home slot goes through Algorithm 1
 // directly; a borrowed sibling slot always travels back to its owner
@@ -149,7 +119,7 @@ func (d *Driver) routeFreedSlot(pr *phaseRun, att *attempt, decision core.Decisi
 		return
 	}
 	d.opts.Lender.Finish(att.loan)
-	d.loansHome(pr.jr, pr.phase.ID, 1, obs.KindLoanFinish)
+	d.loanEvent(obs.KindLoanFinish, pr.jr, pr.phase.ID, 1)
 	if d.opts.Mode == ModeSSR && decision == core.Reserve {
 		pr.preWant++
 		d.addPreReserver(pr)
@@ -239,7 +209,6 @@ func (d *Driver) expireTimeoutReservation(slot cluster.SlotID, armedAt sim.Time)
 	if err := d.cl.CancelReservation(slot); err != nil {
 		panic("driver: timeout expiry: " + err.Error())
 	}
-	d.emitReservation(EventUnreserve, slot, res)
 	d.notifyWaiters(slot)
 	if jr := d.jobsByID[res.Job]; jr != nil {
 		d.recordTimeline(jr)
@@ -255,10 +224,7 @@ func (d *Driver) armDeadline(pr *phaseRun, firstTaskDuration sim.Time) {
 	if !ok {
 		return
 	}
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.DeadlinesArmed.Inc()
-	}
-	d.audit(obs.AuditEvent{Kind: obs.KindDeadlineArmed, Job: int64(pr.jr.job.ID),
+	d.emit(&obs.AuditEvent{Kind: obs.KindDeadlineArmed, Job: int64(pr.jr.job.ID),
 		JobName: pr.jr.job.Name, Phase: pr.phase.ID, Slot: -1,
 		TmSec: firstTaskDuration.Seconds(), N: pr.phase.Parallelism(),
 		P: p, Alpha: alpha, Src: src,
@@ -280,12 +246,8 @@ func (d *Driver) expireDeadline(pr *phaseRun) {
 	pr.tracker.ExpireDeadline()
 	pr.jr.stats.DeadlineExpiries++
 	d.observeOutcome(pr.jr, true)
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.DeadlinesExpired.Inc()
-	}
-	d.audit(obs.AuditEvent{Kind: obs.KindDeadlineExpire, Job: int64(pr.jr.job.ID),
+	d.emit(&obs.AuditEvent{Kind: obs.KindDeadlineExpire, Job: int64(pr.jr.job.ID),
 		JobName: pr.jr.job.Name, Phase: pr.phase.ID, Slot: -1})
-	d.emitPhase(EventDeadlineExpire, pr)
 	d.dropPreReserver(pr)
 	jobID := pr.jr.job.ID
 	for _, slot := range d.cl.ReservedSlots(jobID) {
@@ -296,7 +258,6 @@ func (d *Driver) expireDeadline(pr *phaseRun) {
 		if err := d.cl.CancelReservation(slot); err != nil {
 			panic("driver: deadline expiry: " + err.Error())
 		}
-		d.emitReservation(EventUnreserve, slot, res)
 		d.notifyWaiters(slot)
 	}
 	// Borrowed sibling slots were pre-reserved under this same deadline D;
@@ -357,10 +318,7 @@ func (d *Driver) maybeMitigate(pr *phaseRun) {
 // schedulable and inherit the job's reserved slots.
 func (d *Driver) onPhaseComplete(pr *phaseRun) {
 	jr := pr.jr
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.PhaseJCT.ObserveDuration(d.eng.Now() - pr.start)
-	}
-	d.emitPhase(EventPhaseDone, pr)
+	d.jobEvent(obs.KindPhaseDone, jr, pr.phase.ID, d.eng.Now()-pr.start)
 	d.stopSpeculation(pr)
 	if pr.localityTimer != nil {
 		pr.localityTimer.Cancel()
@@ -426,11 +384,9 @@ func (d *Driver) reconcileReservations(jr *jobRun) {
 	}
 	slots := d.cl.ReservedSlots(jr.job.ID)
 	for i := len(slots) - 1; i >= 0 && excess > 0; i-- {
-		res, _ := d.cl.Slot(slots[i]).Reservation()
 		if err := d.cl.CancelReservation(slots[i]); err != nil {
 			panic("driver: reconcile: " + err.Error())
 		}
-		d.emitReservation(EventUnreserve, slots[i], res)
 		d.notifyWaiters(slots[i])
 		excess--
 	}
@@ -450,16 +406,14 @@ func (d *Driver) onJobComplete(jr *jobRun) {
 	jr.stats.Finish = d.eng.Now()
 	d.unfinished--
 	for _, slot := range d.cl.ReservedSlots(jr.job.ID) {
-		res, _ := d.cl.Slot(slot).Reservation()
 		if err := d.cl.CancelReservation(slot); err != nil {
 			panic("driver: job completion: " + err.Error())
 		}
-		d.emitReservation(EventUnreserve, slot, res)
 		d.notifyWaiters(slot)
 	}
 	d.returnLoans(jr, -1, -1)
 	d.loc.ForgetJob(jr.job.ID)
-	d.emitJob(EventJobDone, jr)
+	d.jobEvent(obs.KindJobDone, jr, 0, 0)
 	d.recordTimeline(jr)
 	d.scheduleDispatch()
 }

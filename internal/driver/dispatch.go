@@ -169,7 +169,6 @@ func (d *Driver) servePreReservers(minPrio *dag.Priority) {
 					break
 				}
 				pr.preWant--
-				d.emitReservation(EventReserve, slot, res)
 				d.notifyWaiters(slot)
 			}
 			// The home pool is exhausted but quota remains: past
@@ -282,7 +281,6 @@ func (d *Driver) mustReserve(slot cluster.SlotID, res cluster.Reservation) {
 	if err := d.cl.Reserve(slot, res); err != nil {
 		panic("driver: reserve failed: " + err.Error())
 	}
-	d.emitReservation(EventReserve, slot, res)
 	d.notifyWaiters(slot)
 }
 

@@ -37,10 +37,6 @@ func (d *Driver) DrainNode(node int, notice time.Duration) error {
 		return fmt.Errorf("driver: %w", err)
 	}
 	d.fc.NodeDrains++
-	m := d.opts.Metrics
-	if m != nil {
-		m.NodeDrains.Inc()
-	}
 
 	// Outputs cached on the node die with it when the notice closes;
 	// downstream preferences degrade to ANY placement now so constrained
@@ -57,7 +53,7 @@ func (d *Driver) DrainNode(node int, notice time.Duration) error {
 
 	// Per-attempt decision: ride out the notice or restart elsewhere. A
 	// Busy slot without a local attempt is lent to a sibling shard; the
-	// OnDrain hook below recalls those loans through the broker.
+	// lending broker recalls those loans on the drain_start event below.
 	for _, slot := range busy {
 		att := d.slotOwner[slot]
 		if att == nil {
@@ -68,16 +64,10 @@ func (d *Driver) DrainNode(node int, notice time.Duration) error {
 		}
 		delete(d.slotOwner, slot)
 		att.timer.Cancel()
-		if d.opts.Trace != nil {
-			d.traceAttempt(att, true)
-		}
-		d.emitAttempt(EventAttemptKill, att)
+		d.attemptEvent(obs.KindAttemptKill, att, obs.SrcPreempt)
 		d.fc.AttemptsPreempted++
 		att.pr.jr.stats.AttemptsKilled++
-		if m != nil {
-			m.AttemptsPreempted.Inc()
-		}
-		d.audit(obs.AuditEvent{Kind: obs.KindAttemptPreempt, Job: int64(att.pr.jr.job.ID),
+		d.emit(&obs.AuditEvent{Kind: obs.KindAttemptPreempt, Job: int64(att.pr.jr.job.ID),
 			JobName: att.pr.jr.job.Name, Phase: att.pr.phase.ID, Task: att.taskIdx,
 			Slot: int(slot)})
 		d.mustRelease(slot) // parks in Draining: the node is no longer Up
@@ -92,17 +82,12 @@ func (d *Driver) DrainNode(node int, notice time.Duration) error {
 		if err := d.cl.CancelReservation(slot); err != nil {
 			panic("driver: drain: " + err.Error())
 		}
-		d.emitReservation(EventUnreserve, slot, res)
 		delete(d.lastReserve, slot)
 		if d.opts.Mode == ModeSSR && res.Job != StaticJobID {
 			if dest, ok := d.cl.ReserveAnyFree(res, size); ok {
-				d.emitReservation(EventReserve, dest, res)
 				d.notifyWaiters(dest)
 				d.fc.ReservationsMigrated++
-				if m != nil {
-					m.ReservationsMigrated.Inc()
-				}
-				d.audit(obs.AuditEvent{Kind: obs.KindReserveMigrate, Job: int64(res.Job),
+				d.emit(&obs.AuditEvent{Kind: obs.KindReserveMigrate, Job: int64(res.Job),
 					JobName: d.auditJobName(res.Job), Phase: res.Phase, Slot: int(dest)})
 				continue
 			}
@@ -117,18 +102,14 @@ func (d *Driver) DrainNode(node int, notice time.Duration) error {
 		d.fc.ReservationsDrained++
 	}
 
-	// Loans granted out of this node come home before the wire.
-	if d.opts.OnDrain != nil {
-		d.opts.OnDrain(node)
-	}
-
 	if d.drainTimers == nil {
 		d.drainTimers = make(map[int]*sim.Timer)
 	}
 	d.drainTimers[node] = d.eng.AfterArg(notice, d.completeDrainArg, node)
-	d.audit(obs.AuditEvent{Kind: obs.KindDrainStart, Slot: node,
+	// Loans granted out of this node come home before the wire: the
+	// lending broker recalls them on this event.
+	d.emit(&obs.AuditEvent{Kind: obs.KindDrainStart, Slot: node,
 		Count: int(notice.Milliseconds())})
-	d.emitNode(EventNodeDrain, node, int(notice.Milliseconds()))
 	d.updateNodeGauges()
 	d.scheduleDispatch()
 	return nil
@@ -156,22 +137,12 @@ func (d *Driver) completeDrain(node int) {
 		}
 		delete(d.slotOwner, slot)
 		att.timer.Cancel()
-		if d.opts.Trace != nil {
-			d.traceAttempt(att, true)
-		}
-		d.emitAttempt(EventAttemptKill, att)
+		d.attemptEvent(obs.KindAttemptKill, att, obs.SrcPreempt)
 		d.fc.AttemptsPreempted++
 		att.pr.jr.stats.AttemptsKilled++
-		if d.opts.Metrics != nil {
-			d.opts.Metrics.AttemptsPreempted.Inc()
-		}
 		d.onAttemptPreempted(att)
 	}
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.NodeDrainsCompleted.Inc()
-	}
-	d.audit(obs.AuditEvent{Kind: obs.KindDrainEnd, Slot: node, Count: len(killed)})
-	d.emitNode(EventNodeDown, node, len(killed))
+	d.emit(&obs.AuditEvent{Kind: obs.KindDrainEnd, Slot: node, Count: len(killed)})
 	d.updateNodeGauges()
 	d.scheduleDispatch()
 }
@@ -191,12 +162,8 @@ func (d *Driver) UndrainNode(node int) error {
 		delete(d.drainTimers, node)
 	}
 	d.fc.NodeUndrains++
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.NodeUndrains.Inc()
-	}
 	d.reviveSlots(revived)
-	d.audit(obs.AuditEvent{Kind: obs.KindUndrain, Slot: node, Count: len(revived)})
-	d.emitNode(EventNodeUndrain, node, len(revived))
+	d.emit(&obs.AuditEvent{Kind: obs.KindUndrain, Slot: node, Count: len(revived)})
 	d.updateNodeGauges()
 	d.scheduleDispatch()
 	return nil
@@ -210,12 +177,8 @@ func (d *Driver) ActivateNode(node int) error {
 	if err != nil {
 		return fmt.Errorf("driver: %w", err)
 	}
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.NodeActivations.Inc()
-	}
 	d.reviveSlots(online)
-	d.audit(obs.AuditEvent{Kind: obs.KindNodeUp, Slot: node, Count: len(online)})
-	d.emitNode(EventNodeUp, node, len(online))
+	d.emit(&obs.AuditEvent{Kind: obs.KindNodeUp, Slot: node, Count: len(online)})
 	d.updateNodeGauges()
 	d.scheduleDispatch()
 	return nil
@@ -311,16 +274,6 @@ func (d *Driver) QueuedTasks() int {
 		}
 	}
 	return n
-}
-
-// updateNodeGauges refreshes the node lifecycle gauges after a transition.
-func (d *Driver) updateNodeGauges() {
-	m := d.opts.Metrics
-	if m == nil {
-		return
-	}
-	m.NodesDraining.Set(float64(d.cl.CountNodes(cluster.NodeDraining)))
-	m.NodesDown.Set(float64(d.cl.CountNodes(cluster.NodeDown)))
 }
 
 // NodeStatus is a point-in-time snapshot of one node's lifecycle state,

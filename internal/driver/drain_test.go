@@ -9,19 +9,6 @@ import (
 	"ssr/internal/dag"
 )
 
-// checkLifecyclePartition asserts the five slot states partition the
-// cluster — the drain-era extension of checkStatePartition.
-func checkLifecyclePartition(t *testing.T, cl *cluster.Cluster) {
-	t.Helper()
-	sum := cl.CountState(cluster.Free) + cl.CountState(cluster.Reserved) +
-		cl.CountState(cluster.Busy) + cl.CountState(cluster.Failed) +
-		cl.CountState(cluster.Draining)
-	if sum != cl.NumSlots() {
-		t.Fatalf("slot states do not partition the cluster: census %d != %d slots",
-			sum, cl.NumSlots())
-	}
-}
-
 // drainAt schedules a drain with the given notice at a virtual time.
 func drainAt(t *testing.T, e *env, at, notice time.Duration, node int) {
 	t.Helper()
@@ -29,7 +16,7 @@ func drainAt(t *testing.T, e *env, at, notice time.Duration, node int) {
 		if err := e.d.DrainNode(node, notice); err != nil {
 			t.Errorf("DrainNode(%d) at %v: %v", node, at, err)
 		}
-		checkLifecyclePartition(t, e.cl)
+		checkStatePartition(t, e.cl)
 	})
 }
 
@@ -179,7 +166,7 @@ func TestRepeatedDrainUndrain(t *testing.T) {
 			if err := e.d.UndrainNode(0); err != nil {
 				t.Errorf("UndrainNode: %v", err)
 			}
-			checkLifecyclePartition(t, e.cl)
+			checkStatePartition(t, e.cl)
 		})
 	}
 	e.mustRun(t)

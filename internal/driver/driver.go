@@ -32,7 +32,6 @@ import (
 	"ssr/internal/obs"
 	"ssr/internal/sched"
 	"ssr/internal/sim"
-	"ssr/internal/trace"
 )
 
 // Mode selects the reservation policy.
@@ -103,15 +102,14 @@ type Options struct {
 	LocalityFactor float64
 	// RecordTimeline enables per-job running-slot step series.
 	RecordTimeline bool
-	// Trace, when non-nil, receives one event per task attempt
-	// (originals and speculative copies, winners and killed losers).
-	Trace *trace.Recorder
-	// OnEvent, when non-nil, receives every scheduler lifecycle event
-	// (job/phase/attempt/reservation transitions) synchronously as it
-	// happens. Handlers run inside the simulation event and must not
-	// re-enter the driver; the online service layer bridges them onto
-	// its event bus.
-	OnEvent func(Event)
+	// OnEvent, when non-nil, receives the driver's whole event stream —
+	// every reservation decision Audit records plus the job, phase and
+	// attempt lifecycle kinds — in order, synchronously as it happens.
+	// The pointer is valid only during the call. Handlers run inside the
+	// simulation event and must not re-enter the driver. Trace recording
+	// (obs.Tracer), the service bus and loan recall on drain_start are
+	// filters of this stream.
+	OnEvent func(*obs.AuditEvent)
 	// Speculation enables Spark-style progress-based speculative
 	// execution — the status-quo straggler mitigation the paper's
 	// reserved-slot strategy is compared against (Sec. IV-C).
@@ -132,18 +130,17 @@ type Options struct {
 	// broker here). Nil — the default — disables cross-shard lending and
 	// leaves scheduling bit-identical to a standalone driver.
 	Lender SlotLender
-	// Audit, when non-nil, receives a typed event for every reservation
-	// decision (reserve, release, pre-reserve, deadline arm/expiry,
-	// straggler-copy lifecycle, loan grant/return), stamped with the
-	// virtual clock. The stream is passive: attaching it never changes a
-	// scheduling decision. AuditShard tags the events when several
-	// drivers share one Audit.
+	// Audit, when non-nil, retains the stream's reservation decisions
+	// (reserve, release, pre-reserve, deadline arm/expiry, straggler-copy
+	// lifecycle, loan grant/return), stamped with the virtual clock. The
+	// stream is passive: attaching a consumer never changes a scheduling
+	// decision. AuditShard tags every event when several drivers share
+	// consumers.
 	Audit      *obs.Audit
 	AuditShard int
-	// Metrics, when non-nil, receives hot-path counter and histogram
-	// observations (queue wait, phase JCT, reservation hold times,
-	// lending round-trips). Like Audit it is passive and rides the
-	// virtual clock.
+	// Metrics, when non-nil, folds the stream into counters and
+	// histograms (queue wait, phase JCT, reservation hold times, lending
+	// round-trips) through SchedMetrics.Observe.
 	Metrics *obs.SchedMetrics
 	// Policy, when non-nil, bundles a queue discipline and reservation
 	// mode into one named slot policy (SSR, DAGPS, packing). It only
@@ -155,11 +152,6 @@ type Options struct {
 	// P here). It is consulted once at job submission, only when SSR is
 	// enabled for the job; nil leaves every job on Options.SSR.
 	TenantSSR func(tenant string, cfg core.Config) core.Config
-	// OnDrain, when non-nil, is invoked as a node enters the Draining
-	// state, before its notice timer is armed. The shard federation wires
-	// the lending broker's recall here so idle loans checked out of the
-	// draining node travel home immediately.
-	OnDrain func(node int)
 	// Adaptive, when non-nil, closes the SSR control loop: task
 	// completions, phase submissions and deadline outcomes feed the
 	// estimator, and deadlines re-derive their Eq. 3 knobs (alpha,
@@ -257,7 +249,7 @@ type Driver struct {
 	// resAt remembers each live reservation's owner and start time, so
 	// Reserved->X transitions can be attributed and timed after the
 	// cluster has already cleared the slot's reservation record. Nil
-	// unless observability is attached.
+	// unless a stream consumer is attached.
 	resAt map[cluster.SlotID]resInfo
 
 	unfinished        int
@@ -285,6 +277,8 @@ type Driver struct {
 	// Nil until the first DrainNode, so lifecycle-free runs never touch it.
 	drainTimers      map[int]*sim.Timer
 	completeDrainArg func(any)
+	// ev is the copy of the event being emitted that OnEvent reads.
+	ev obs.AuditEvent
 }
 
 // New creates a driver over an engine and cluster.
@@ -319,27 +313,13 @@ func New(eng *sim.Engine, cl *cluster.Cluster, opts Options) (*Driver, error) {
 		d.dispatch()
 	}
 	d.usage = metrics.NewSlotUsage(cl.NumSlots(), eng.Now)
-	if ul := d.usage.Listener(); o.Audit != nil || o.Metrics != nil {
-		d.resAt = make(map[cluster.SlotID]resInfo)
-		cl.SetListener(func(id cluster.SlotID, from, to cluster.SlotState) {
-			ul(id, from, to)
-			d.onSlotTransition(id, from, to)
-		})
-	} else {
-		cl.SetListener(ul)
-	}
+	d.watchSlots()
 	if o.RecordTimeline {
 		d.timeline = metrics.NewTimeline(eng.Now)
 	}
 	if o.Mode == ModeStatic {
-		for i := 0; i < o.StaticSlots; i++ {
-			res := cluster.Reservation{
-				Job:      StaticJobID,
-				Priority: o.StaticMinPriority - 1,
-			}
-			if err := cl.Reserve(cluster.SlotID(i), res); err != nil {
-				return nil, fmt.Errorf("driver: static reservation: %w", err)
-			}
+		if err := d.fenceStatic(); err != nil {
+			return nil, err
 		}
 	}
 	return d, nil

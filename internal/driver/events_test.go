@@ -7,15 +7,22 @@ import (
 	"ssr/internal/cluster"
 	"ssr/internal/core"
 	"ssr/internal/dag"
+	"ssr/internal/obs"
 	"ssr/internal/sim"
 )
 
+// collect returns an OnEvent hook appending a copy of every event to
+// *events.
+func collect(events *[]obs.AuditEvent) func(*obs.AuditEvent) {
+	return func(ev *obs.AuditEvent) { *events = append(*events, *ev) }
+}
+
 // collectEvents runs the given jobs under opts and returns the emitted
-// lifecycle events in order.
-func collectEvents(t *testing.T, opts Options, jobs ...*dag.Job) []Event {
+// events in order.
+func collectEvents(t *testing.T, opts Options, jobs ...*dag.Job) []obs.AuditEvent {
 	t.Helper()
-	var events []Event
-	opts.OnEvent = func(ev Event) { events = append(events, ev) }
+	var events []obs.AuditEvent
+	opts.OnEvent = collect(&events)
 	eng := sim.New()
 	cl, err := cluster.New(4, 2)
 	if err != nil {
@@ -56,9 +63,9 @@ func twoPhaseJob(t *testing.T, id dag.JobID) *dag.Job {
 }
 
 // TestEventCausalOrder checks the per-job ordering contract documented on
-// the EventType constants: job start before phase starts, phase start
-// before its attempts, attempt start before its finish, phase done after
-// its last finish, job done last.
+// the lifecycle obs.Kind constants: job start before phase starts, phase
+// start before its attempts, attempt start before its finish, phase done
+// after its last finish, job done last.
 func TestEventCausalOrder(t *testing.T) {
 	job := twoPhaseJob(t, 1)
 	events := collectEvents(t, Options{Mode: ModeSSR,
@@ -70,16 +77,16 @@ func TestEventCausalOrder(t *testing.T) {
 
 	// The final event for the job must be JobDone.
 	last := events[len(events)-1]
-	if last.Type != EventJobDone {
-		t.Errorf("last event = %v, want job_done", last.Type)
+	if last.Kind != obs.KindJobDone {
+		t.Errorf("last event = %v, want job_done", last.Kind)
 	}
 	// Every one of the five tasks ran: 5 starts, 5 finishes.
 	starts, finishes := 0, 0
 	for _, ev := range events {
-		switch ev.Type {
-		case EventAttemptStart:
+		switch ev.Kind {
+		case obs.KindAttemptStart:
 			starts++
-		case EventAttemptFinish:
+		case obs.KindAttemptFinish:
 			finishes++
 		}
 	}
@@ -91,7 +98,7 @@ func TestEventCausalOrder(t *testing.T) {
 // checkCausalOrder validates per-job causal ordering of a lifecycle event
 // stream. It is shared in spirit with the service-level SSE test: the
 // stream order must embed, per job, the partial order of the run.
-func checkCausalOrder(t *testing.T, events []Event) {
+func checkCausalOrder(t *testing.T, events []obs.AuditEvent) {
 	t.Helper()
 	type jobState struct {
 		started    bool
@@ -100,8 +107,8 @@ func checkCausalOrder(t *testing.T, events []Event) {
 		phaseDone  map[int]bool
 		attemptsIn map[[3]int]bool // phase, task, copy(0/1)
 	}
-	jobs := make(map[dag.JobID]*jobState)
-	get := func(id dag.JobID) *jobState {
+	jobs := make(map[int64]*jobState)
+	get := func(id int64) *jobState {
 		js := jobs[id]
 		if js == nil {
 			js = &jobState{
@@ -120,20 +127,20 @@ func checkCausalOrder(t *testing.T, events []Event) {
 		}
 		lastT = ev.Time
 		js := get(ev.Job)
-		if js.done && ev.Type != EventUnreserve {
-			t.Fatalf("event %d: %v for job %d after its terminal event", i, ev.Type, ev.Job)
+		if js.done && ev.Kind != obs.KindUnreserve {
+			t.Fatalf("event %d: %v for job %d after its terminal event", i, ev.Kind, ev.Job)
 		}
 		key := [3]int{ev.Phase, ev.Task, 0}
 		if ev.Copy {
 			key[2] = 1
 		}
-		switch ev.Type {
-		case EventJobStart:
+		switch ev.Kind {
+		case obs.KindJobStart:
 			if js.started {
 				t.Fatalf("event %d: duplicate job_start for job %d", i, ev.Job)
 			}
 			js.started = true
-		case EventPhaseStart:
+		case obs.KindPhaseStart:
 			if !js.started {
 				t.Fatalf("event %d: phase_start before job_start (job %d)", i, ev.Job)
 			}
@@ -141,7 +148,7 @@ func checkCausalOrder(t *testing.T, events []Event) {
 				t.Fatalf("event %d: duplicate phase_start %d (job %d)", i, ev.Phase, ev.Job)
 			}
 			js.phaseOpen[ev.Phase] = true
-		case EventAttemptStart:
+		case obs.KindAttemptStart:
 			if !js.phaseOpen[ev.Phase] {
 				t.Fatalf("event %d: attempt_start in unopened phase %d (job %d)", i, ev.Phase, ev.Job)
 			}
@@ -149,18 +156,18 @@ func checkCausalOrder(t *testing.T, events []Event) {
 				t.Fatalf("event %d: duplicate attempt_start %v (job %d)", i, key, ev.Job)
 			}
 			js.attemptsIn[key] = true
-		case EventAttemptFinish, EventAttemptKill:
+		case obs.KindAttemptFinish, obs.KindAttemptKill:
 			if !js.attemptsIn[key] {
-				t.Fatalf("event %d: %v without attempt_start %v (job %d)", i, ev.Type, key, ev.Job)
+				t.Fatalf("event %d: %v without attempt_start %v (job %d)", i, ev.Kind, key, ev.Job)
 			}
 			delete(js.attemptsIn, key)
-		case EventPhaseDone:
+		case obs.KindPhaseDone:
 			if !js.phaseOpen[ev.Phase] {
 				t.Fatalf("event %d: phase_done for unopened phase %d (job %d)", i, ev.Phase, ev.Job)
 			}
 			js.phaseOpen[ev.Phase] = false
 			js.phaseDone[ev.Phase] = true
-		case EventJobDone, EventJobFail:
+		case obs.KindJobDone, obs.KindJobFail:
 			js.done = true
 		}
 	}
@@ -174,9 +181,8 @@ func TestAbortBeforeActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	d, err := New(eng, cl, Options{Mode: ModeNone,
-		OnEvent: func(ev Event) { events = append(events, ev) }})
+	var events []obs.AuditEvent
+	d, err := New(eng, cl, Options{Mode: ModeNone, OnEvent: collect(&events)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +202,8 @@ func TestAbortBeforeActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range events {
-		if ev.Type == EventJobStart || ev.Type == EventAttemptStart {
-			t.Fatalf("aborted pending job emitted %v", ev.Type)
+		if ev.Kind == obs.KindJobStart || ev.Kind == obs.KindAttemptStart {
+			t.Fatalf("aborted pending job emitted %v", ev.Kind)
 		}
 	}
 	if got := cl.CountState(cluster.Busy); got != 0 {
@@ -218,20 +224,20 @@ func TestEventReservationsBalance(t *testing.T) {
 	events := collectEvents(t, Options{Mode: ModeSSR,
 		SSR: core.Config{Enabled: true, IsolationP: 0.9, Alpha: 1.6, PreReserveThreshold: 0.5}},
 		jobs...)
-	reserved := make(map[cluster.SlotID]dag.JobID)
+	reserved := make(map[int]int64)
 	for i, ev := range events {
-		switch ev.Type {
-		case EventReserve:
+		switch ev.Kind {
+		case obs.KindReserve, obs.KindPreReserve:
 			if owner, dup := reserved[ev.Slot]; dup {
 				t.Fatalf("event %d: slot %d reserved twice (held by job %d)", i, ev.Slot, owner)
 			}
 			reserved[ev.Slot] = ev.Job
-		case EventUnreserve:
+		case obs.KindUnreserve:
 			if owner, ok := reserved[ev.Slot]; !ok || owner != ev.Job {
 				t.Fatalf("event %d: unreserve slot %d job %d without matching reserve", i, ev.Slot, ev.Job)
 			}
 			delete(reserved, ev.Slot)
-		case EventAttemptStart:
+		case obs.KindAttemptStart:
 			// Starting on a reserved slot consumes the reservation.
 			delete(reserved, ev.Slot)
 		}
@@ -293,9 +299,8 @@ func TestAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	d, err := New(eng, cl, Options{Mode: ModeNone,
-		OnEvent: func(ev Event) { events = append(events, ev) }})
+	var events []obs.AuditEvent
+	d, err := New(eng, cl, Options{Mode: ModeNone, OnEvent: collect(&events)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +328,8 @@ func TestAbort(t *testing.T) {
 		t.Errorf("Unfinished = %d, want 0", d.Unfinished())
 	}
 	last := events[len(events)-1]
-	if last.Type != EventJobFail {
-		t.Errorf("last event = %v, want job_fail", last.Type)
+	if last.Kind != obs.KindJobFail {
+		t.Errorf("last event = %v, want job_fail", last.Kind)
 	}
 	// Aborting again is a no-op.
 	if err := d.Abort(3); err != nil {

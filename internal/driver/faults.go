@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssr/internal/cluster"
+	"ssr/internal/dag"
 	"ssr/internal/metrics"
 	"ssr/internal/obs"
 )
@@ -134,10 +135,7 @@ func (d *Driver) FailNode(node int) error {
 		}
 		delete(d.slotOwner, s)
 		att.timer.Cancel()
-		if d.opts.Trace != nil {
-			d.traceAttempt(att, true)
-		}
-		d.emitAttempt(EventAttemptKill, att)
+		d.attemptEvent(obs.KindAttemptKill, att, "")
 		d.fc.AttemptsKilled++
 		att.pr.jr.stats.AttemptsKilled++
 		d.onAttemptKilled(att)
@@ -263,6 +261,23 @@ func (d *Driver) requeueTask(pr *phaseRun, idx int) {
 	d.scheduleDispatch()
 }
 
+// Abort terminates an in-flight job: all live attempts are killed, its
+// reservations canceled, and the job marked Failed with its finish time set
+// to the current virtual time. Aborting a finished job is a no-op. The
+// online service uses it to cut short in-flight jobs when a drain deadline
+// passes.
+func (d *Driver) Abort(id dag.JobID) error {
+	jr, ok := d.jobsByID[id]
+	if !ok {
+		return fmt.Errorf("driver: abort of unknown job %d", id)
+	}
+	if jr.finished {
+		return nil
+	}
+	d.abortJob(jr)
+	return nil
+}
+
 // abortJob terminates a job whose task exhausted its retry budget: all live
 // attempts are killed, reservations canceled, and the job marked Failed with
 // its finish time set to now.
@@ -298,16 +313,13 @@ func (d *Driver) abortJob(jr *jobRun) {
 				att.timer.Cancel()
 				delete(d.slotOwner, att.slot)
 				jr.running--
-				if d.opts.Trace != nil {
-					d.traceAttempt(att, true)
-				}
-				d.emitAttempt(EventAttemptKill, att)
+				d.attemptEvent(obs.KindAttemptKill, att, "")
 				// Borrowed sibling slots travel home through the lender;
 				// attempts on already-failed slots have no slot to give
 				// back; the others return to the pool.
 				if att.remote {
 					d.opts.Lender.Finish(att.loan)
-					d.loansHome(jr, pr.phase.ID, 1, obs.KindLoanFinish)
+					d.loanEvent(obs.KindLoanFinish, jr, pr.phase.ID, 1)
 				} else if d.cl.Slot(att.slot).State() == cluster.Busy {
 					d.mustRelease(att.slot)
 				}
@@ -319,16 +331,14 @@ func (d *Driver) abortJob(jr *jobRun) {
 		}
 	}
 	for _, slot := range d.cl.ReservedSlots(jr.job.ID) {
-		res, _ := d.cl.Slot(slot).Reservation()
 		if err := d.cl.CancelReservation(slot); err != nil {
 			panic("driver: job abort: " + err.Error())
 		}
-		d.emitReservation(EventUnreserve, slot, res)
 		d.notifyWaiters(slot)
 	}
 	d.returnLoans(jr, -1, -1)
 	d.loc.ForgetJob(jr.job.ID)
-	d.emitJob(EventJobFail, jr)
+	d.jobEvent(obs.KindJobFail, jr, 0, 0)
 	d.recordTimeline(jr)
 	d.scheduleDispatch()
 }

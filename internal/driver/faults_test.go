@@ -9,15 +9,12 @@ import (
 	"ssr/internal/dag"
 )
 
-// checkStatePartition asserts the four slot states partition the cluster —
-// the invariant every fault/recovery sequence must preserve.
+// checkStatePartition asserts the slot states partition the cluster — the
+// invariant every fault, drain and recovery sequence must preserve.
 func checkStatePartition(t *testing.T, cl *cluster.Cluster) {
 	t.Helper()
-	sum := cl.CountState(cluster.Free) + cl.CountState(cluster.Reserved) +
-		cl.CountState(cluster.Busy) + cl.CountState(cluster.Failed)
-	if sum != cl.NumSlots() {
-		t.Fatalf("slot states do not partition the cluster: census %d != %d slots",
-			sum, cl.NumSlots())
+	if err := cl.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"ssr/internal/cluster"
 	"ssr/internal/core"
 	"ssr/internal/dag"
+	"ssr/internal/obs"
 	"ssr/internal/trace"
 )
 
@@ -74,7 +75,7 @@ func TestTraceRecordsAttempts(t *testing.T) {
 	rec := &trace.Recorder{}
 	cfg := core.DefaultConfig()
 	cfg.MitigateStragglers = true
-	e := newEnv(t, 1, 4, Options{Mode: ModeSSR, SSR: cfg, Trace: rec})
+	e := newEnv(t, 1, 4, Options{Mode: ModeSSR, SSR: cfg, OnEvent: obs.Tracer(rec)})
 	j, err := dag.Chain(1, "traced", 10, []dag.PhaseSpec{
 		{Durations: durations(1, 1, 1, 100), CopyDurations: durations(1, 1, 1, 2)},
 		{Durations: durations(1, 1, 1, 1)},

@@ -27,10 +27,6 @@ type jobRun struct {
 	// borrowed counts idle cross-shard loans held by the job (granted by
 	// Options.Lender, not yet consumed by a task or returned).
 	borrowed int
-	// loanGrants holds the grant times of outstanding loans (oldest first,
-	// home virtual clock) for the lending round-trip histogram. Only
-	// maintained when Options.Metrics is set.
-	loanGrants []sim.Time
 	// ssrCfg is the job's effective SSR config, resolved once at
 	// submission: mode + ReserveMinPriority gate + per-tenant override.
 	ssrCfg core.Config
@@ -76,7 +72,7 @@ func (jr *jobRun) activate() {
 	if jr.finished {
 		return
 	}
-	jr.d.emitJob(EventJobStart, jr)
+	jr.d.jobEvent(obs.KindJobStart, jr, 0, 0)
 	for _, root := range jr.job.Roots() {
 		jr.d.submitPhase(jr, root)
 	}
@@ -425,7 +421,7 @@ func (d *Driver) submitPhase(jr *jobRun, pid int) {
 	}
 	pr.localityOpen = pr.queuedConstrained() == 0
 	jr.phases[pid] = pr
-	d.emitPhase(EventPhaseStart, pr)
+	d.jobEvent(obs.KindPhaseStart, jr, pid, 0)
 	if ad := d.opts.Adaptive; ad != nil {
 		ad.ObservePhase(jr.job.Tenant, jr.class, m)
 	}
@@ -537,14 +533,13 @@ func (d *Driver) assign(pr *phaseRun, idx int, slot cluster.SlotID, local bool) 
 	} else {
 		jr.stats.LocalPlacements++
 	}
-	d.observePlacement(pr)
 	att := d.newAttempt(attempt{pr: pr, taskIdx: idx, local: local || !constrained, slot: slot, start: d.eng.Now()})
 	att.timer = d.eng.AfterArg(d.scaleDur(dur, slot), d.onFinishArg, att)
 	pr.tasks[idx].orig = att
 	d.slotOwner[slot] = att
 	pr.runningTasks++
 	jr.running++
-	d.emitAttempt(EventAttemptStart, att)
+	d.attemptEvent(obs.KindAttemptStart, att, "")
 	d.recordTimeline(jr)
 	d.syncQueue(pr)
 }
@@ -563,11 +558,8 @@ func (d *Driver) launchCopy(pr *phaseRun, idx int, slot cluster.SlotID) {
 	d.slotOwner[slot] = att
 	jr.running++
 	jr.stats.CopiesLaunched++
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.CopiesLaunched.Inc()
-	}
-	d.audit(obs.AuditEvent{Kind: obs.KindCopyLaunch, Job: int64(jr.job.ID),
+	d.emit(&obs.AuditEvent{Kind: obs.KindCopyLaunch, Job: int64(jr.job.ID),
 		JobName: jr.job.Name, Phase: pr.phase.ID, Task: idx, Slot: int(slot)})
-	d.emitAttempt(EventAttemptStart, att)
+	d.attemptEvent(obs.KindAttemptStart, att, "")
 	d.recordTimeline(jr)
 }

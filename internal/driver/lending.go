@@ -108,9 +108,7 @@ func (d *Driver) applyLoanGrant(pr *phaseRun, granted int) {
 	if pr.preWant < 0 {
 		pr.preWant = 0
 	}
-	d.loanGranted(pr, granted)
-	d.emit(Event{Type: EventBorrow, Job: jr.job.ID, JobName: jr.job.Name,
-		Phase: pr.phase.ID, Count: granted})
+	d.loanEvent(obs.KindLoanGrant, jr, pr.phase.ID, granted)
 }
 
 // ResolveLoan delivers the outcome of an asynchronous Borrow. It must be
@@ -137,12 +135,10 @@ func (d *Driver) ResolveLoan(job dag.JobID, phase int, granted int) {
 		return
 	}
 	if jr.finished || pr == nil || pr.tracker.Done() || pr.tracker.DeadlineExpired() {
-		// The moment has passed; send the slots straight home.
-		returned := d.opts.Lender.Return(job, phase, -1)
-		if returned > 0 {
-			d.emit(Event{Type: EventLoanReturn, Job: job, JobName: jr.job.Name,
-				Phase: phase, Count: returned})
-		}
+		// The moment has passed; send the slots straight home. The grant
+		// never reached the job, so the stream records neither it nor
+		// its return.
+		d.opts.Lender.Return(job, phase, -1)
 		return
 	}
 	d.applyLoanGrant(pr, granted)
@@ -164,9 +160,7 @@ func (d *Driver) returnLoans(jr *jobRun, phase int, max int) {
 	if jr.borrowed < 0 {
 		jr.borrowed = 0
 	}
-	d.loansHome(jr, phase, returned, obs.KindLoanReturn)
-	d.emit(Event{Type: EventLoanReturn, Job: jr.job.ID, JobName: jr.job.Name,
-		Phase: phase, Count: returned})
+	d.loanEvent(obs.KindLoanReturn, jr, phase, returned)
 }
 
 // serveLoan places one task of pr on a borrowed sibling slot. It is the
@@ -182,7 +176,6 @@ func (d *Driver) serveLoan(pr *phaseRun) bool {
 	if !ok {
 		// Every recorded loan was stale; resynchronize the gauge.
 		jr.borrowed = 0
-		jr.loanGrants = nil
 		return false
 	}
 	jr.borrowed--
@@ -214,7 +207,6 @@ func (d *Driver) assignRemote(pr *phaseRun, idx int, loan LoanID, local bool) {
 	} else {
 		jr.stats.LocalPlacements++
 	}
-	d.observePlacement(pr)
 	att := d.newAttempt(attempt{pr: pr, taskIdx: idx, local: local || !constrained,
 		slot: cluster.NoSlot, remote: true, loan: loan, start: d.eng.Now()})
 	att.timer = d.eng.AfterArg(dur, d.onFinishArg, att)
@@ -222,7 +214,7 @@ func (d *Driver) assignRemote(pr *phaseRun, idx int, loan LoanID, local bool) {
 	pr.runningTasks++
 	jr.running++
 	jr.stats.RemoteTasks++
-	d.emitAttempt(EventAttemptStart, att)
+	d.attemptEvent(obs.KindAttemptStart, att, "")
 	d.recordTimeline(jr)
 	d.syncQueue(pr)
 }

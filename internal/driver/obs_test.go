@@ -3,6 +3,7 @@ package driver
 import (
 	"encoding/json"
 	"testing"
+	"unsafe"
 
 	"ssr/internal/core"
 	"ssr/internal/dag"
@@ -61,7 +62,7 @@ func TestObservabilityIsPassive(t *testing.T) {
 	observed := runObsWorkload(t, Options{
 		Audit:   obs.NewAudit(0),
 		Metrics: obs.NewSchedMetrics(reg),
-		Trace:   rec,
+		OnEvent: obs.Tracer(rec),
 	})
 
 	if got, want := observed.d.Makespan(), bare.d.Makespan(); got != want {
@@ -154,7 +155,7 @@ func TestAuditStreamContent(t *testing.T) {
 func TestPerfettoExport(t *testing.T) {
 	audit := obs.NewAudit(0)
 	rec := trace.NewRecorder()
-	runObsWorkload(t, Options{Audit: audit, Trace: rec})
+	runObsWorkload(t, Options{Audit: audit, OnEvent: obs.Tracer(rec)})
 
 	data, err := obs.Perfetto(rec.Events(), audit.Events())
 	if err != nil {
@@ -275,5 +276,38 @@ func TestPerfettoDrainSpans(t *testing.T) {
 	}
 	if markers == 0 {
 		t.Error("no lifecycle instant markers (preemptions) in trace")
+	}
+}
+
+// TestEmitDoesNotAllocate pins the stream's cost: handing an event to the
+// audit ring, the metrics bundle and an OnEvent hook copies it once into
+// the driver and allocates nothing, and the event is at most 8 bytes
+// larger than the 200-byte decision record it grew from.
+func TestEmitDoesNotAllocate(t *testing.T) {
+	if size := unsafe.Sizeof(obs.AuditEvent{}); size > 208 {
+		t.Errorf("obs.AuditEvent is %d bytes, want at most 208", size)
+	}
+	e := newEnv(t, 1, 2, Options{
+		Audit:   obs.NewAudit(4),
+		Metrics: obs.NewSchedMetrics(obs.NewRegistry()),
+		OnEvent: func(*obs.AuditEvent) {},
+	})
+	for _, kind := range []obs.Kind{obs.KindRelease, obs.KindReserveConsumed, obs.KindAttemptStart, obs.KindPhaseDone} {
+		ev := obs.AuditEvent{Kind: kind, Job: 1, JobName: "j", Slot: 0}
+		if n := testing.AllocsPerRun(100, func() { e.d.emit(&ev) }); n != 0 {
+			t.Errorf("emit(%v) allocates %v times per event", kind, n)
+		}
+	}
+}
+
+// TestStaticFencesSkipOnEvent pins where OnEvent's stream starts: the
+// ModeStatic fences set up inside New reach the audit ring but not
+// OnEvent.
+func TestStaticFencesSkipOnEvent(t *testing.T) {
+	var events []obs.AuditEvent
+	audit := obs.NewAudit(0)
+	newEnv(t, 2, 2, Options{Mode: ModeStatic, StaticSlots: 3, Audit: audit, OnEvent: collect(&events)})
+	if audit.Total() != 3 || len(events) != 0 {
+		t.Errorf("fences: %d audited, %d on OnEvent; want 3 and 0", audit.Total(), len(events))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssr/internal/cluster"
+	"ssr/internal/obs"
 )
 
 // SpeculationConfig enables progress-based speculative execution — the
@@ -148,6 +149,6 @@ func (d *Driver) launchSpecCopy(pr *phaseRun, idx int, slot cluster.SlotID) {
 	d.slotOwner[slot] = att
 	jr.running++
 	jr.stats.CopiesLaunched++
-	d.emitAttempt(EventAttemptStart, att)
+	d.attemptEvent(obs.KindAttemptStart, att, "")
 	d.recordTimeline(jr)
 }

@@ -91,7 +91,48 @@ const (
 	// fit distance, OldAlpha/OldP the previous knobs and Alpha/P/TmSec
 	// the new (unchanged on a rejected fit).
 	KindAdapt
+
+	// The lifecycle kinds below share the driver's one event stream with
+	// the decision kinds above, but the audit ring does not retain them
+	// (see Lifecycle). Per job they respect causal order: job_start
+	// precedes every phase_start; a phase's phase_start precedes its
+	// attempt_starts; each attempt_start precedes its attempt_finish or
+	// attempt_kill; phase_done follows the phase's last finish; job_done
+	// or job_fail comes last.
+
+	// KindJobStart: a submitted job activated at its arrival time.
+	KindJobStart
+	// KindPhaseStart: a phase's barrier cleared and its task set became
+	// schedulable.
+	KindPhaseStart
+	// KindAttemptStart: a task attempt (original or copy) started on Slot
+	// (cluster.NoSlot for a borrowed sibling slot). Elapsed is the time
+	// since the phase's task set was submitted.
+	KindAttemptStart
+	// KindAttemptFinish: an attempt completed its task; Elapsed is its run
+	// time.
+	KindAttemptFinish
+	// KindAttemptKill: an attempt was killed — its sibling won, its node
+	// failed or drained (Src SrcPreempt), or its job was aborted. Elapsed
+	// is its run time.
+	KindAttemptKill
+	// KindPhaseDone: every task of a phase completed; Elapsed is the
+	// phase's duration from submission.
+	KindPhaseDone
+	// KindJobDone: a job's final phase completed.
+	KindJobDone
+	// KindJobFail: a job was aborted (retry budget exhausted or an
+	// explicit Abort).
+	KindJobFail
 )
+
+// SrcPreempt marks a KindAttemptKill forced by a node drain's notice
+// window, at its start or at the wire.
+const SrcPreempt = "preempt"
+
+// Lifecycle reports whether k is a job, phase or attempt transition
+// rather than a reservation decision. The audit ring keeps decisions only.
+func (k Kind) Lifecycle() bool { return k >= KindJobStart }
 
 func (k Kind) String() string {
 	switch k {
@@ -141,6 +182,22 @@ func (k Kind) String() string {
 		return "node_up"
 	case KindAdapt:
 		return "adapt"
+	case KindJobStart:
+		return "job_start"
+	case KindPhaseStart:
+		return "phase_start"
+	case KindAttemptStart:
+		return "attempt_start"
+	case KindAttemptFinish:
+		return "attempt_finish"
+	case KindAttemptKill:
+		return "attempt_kill"
+	case KindPhaseDone:
+		return "phase_done"
+	case KindJobDone:
+		return "job_done"
+	case KindJobFail:
+		return "job_fail"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -151,9 +208,10 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(strconv.Quote(k.String())), nil
 }
 
-// AuditEvent is one reservation decision, stamped with the virtual clock.
-// Fields beyond Seq, Time, Shard and Kind are meaningful only for the kinds
-// that concern them; Slot is -1 when no home-cluster slot is involved.
+// AuditEvent is one event of the driver's stream — a reservation decision
+// or a lifecycle transition — stamped with the virtual clock. Fields beyond
+// Seq, Time, Shard and Kind are meaningful only for the kinds that concern
+// them; Slot is -1 when no home-cluster slot is involved.
 type AuditEvent struct {
 	// Seq is the global append sequence number (order across shards).
 	Seq uint64 `json:"seq"`
@@ -161,8 +219,12 @@ type AuditEvent struct {
 	Time time.Duration `json:"tNs"`
 	// Shard is the originating scheduler's shard index (0 unsharded).
 	Shard int `json:"shard"`
-	// Kind is the decision type.
+	// Kind is the event type.
 	Kind Kind `json:"kind"`
+	// Copy and Local qualify attempt lifecycle events: the attempt is a
+	// speculative or straggler copy, and it runs data-local.
+	Copy  bool `json:"copy,omitempty"`
+	Local bool `json:"local,omitempty"`
 
 	Job     int64  `json:"job,omitempty"`
 	JobName string `json:"jobName,omitempty"`
@@ -195,6 +257,12 @@ type AuditEvent struct {
 	OldAlpha float64 `json:"oldAlpha,omitempty"`
 	OldP     float64 `json:"oldP,omitempty"`
 	KS       float64 `json:"ks,omitempty"`
+
+	// Elapsed is the span the event closes: a reservation's hold time on
+	// reserve_consumed, unreserve and reserve_voided, and the durations
+	// documented on the lifecycle kinds. Metrics and traces read it; the
+	// audit JSON does not carry it.
+	Elapsed time.Duration `json:"-"`
 }
 
 // DefaultAuditCapacity is the ring-buffer retention used when NewAudit is
@@ -221,19 +289,27 @@ func NewAudit(capacity int) *Audit {
 	return &Audit{buf: make([]AuditEvent, 0, capacity)}
 }
 
-// Append records one event, stamping its sequence number. Appending to a
-// nil Audit is a no-op.
-func (a *Audit) Append(ev AuditEvent) {
-	if a == nil {
+// Append records one decision event, stamping its sequence number.
+// Appending to a nil Audit is a no-op.
+func (a *Audit) Append(ev AuditEvent) { a.Observe(&ev) }
+
+// Observe is the audit ring's filter over the driver's event stream: it
+// records decision kinds, stamping their sequence numbers, and skips
+// lifecycle kinds.
+func (a *Audit) Observe(ev *AuditEvent) {
+	if a == nil || ev.Kind.Lifecycle() {
 		return
 	}
 	a.mu.Lock()
-	ev.Seq = a.total
+	var slot *AuditEvent
 	if len(a.buf) < cap(a.buf) {
-		a.buf = append(a.buf, ev)
+		a.buf = a.buf[:len(a.buf)+1]
+		slot = &a.buf[len(a.buf)-1]
 	} else {
-		a.buf[a.total%uint64(cap(a.buf))] = ev
+		slot = &a.buf[a.total%uint64(cap(a.buf))]
 	}
+	*slot = *ev
+	slot.Seq = a.total
 	a.total++
 	a.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"ssr/internal/dag"
 	"ssr/internal/trace"
 )
 
@@ -50,6 +51,29 @@ func slotTid(slot int) int {
 }
 
 func usOf(d time.Duration) int64 { return d.Microseconds() }
+
+// Tracer returns the trace recorder's filter over the driver's event
+// stream: each finished or killed attempt becomes one trace.Event, and
+// every other kind is ignored.
+func Tracer(rec *trace.Recorder) func(*AuditEvent) {
+	return func(ev *AuditEvent) {
+		if ev.Kind != KindAttemptFinish && ev.Kind != KindAttemptKill {
+			return
+		}
+		rec.Append(trace.Event{
+			Job:     dag.JobID(ev.Job),
+			JobName: ev.JobName,
+			Phase:   ev.Phase,
+			Task:    ev.Task,
+			Slot:    ev.Slot,
+			Copy:    ev.Copy,
+			Local:   ev.Local,
+			Killed:  ev.Kind == KindAttemptKill,
+			Start:   ev.Time - ev.Elapsed,
+			End:     ev.Time,
+		})
+	}
+}
 
 // Perfetto converts task attempts and an audit stream into Chrome
 // trace-event JSON. attempts carry no shard tag, so their tracks land in

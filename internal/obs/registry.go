@@ -521,8 +521,8 @@ func formatValue(v float64) string {
 	}
 }
 
-// SchedMetrics bundles the per-scheduler (per-shard) metric series the
-// driver updates on its hot paths: the paper's latency distributions plus
+// SchedMetrics bundles the per-scheduler (per-shard) metric series folded
+// from the driver's event stream: the paper's latency distributions plus
 // decision counters. Create one per driver via NewSchedMetrics and hand it
 // to driver.Options.Metrics; a nil *SchedMetrics disables collection.
 type SchedMetrics struct {
@@ -561,6 +561,80 @@ type SchedMetrics struct {
 	ReservationsMigrated *Counter // reservations moved off draining nodes
 	NodesDraining        *Gauge   // nodes currently serving a notice
 	NodesDown            *Gauge   // nodes currently down (failed or drained away)
+
+	// loanGrants queues each job's outstanding loan grant times (oldest
+	// first) so a return closes the oldest grant's round trip.
+	loanGrants map[int64][]time.Duration
+}
+
+// Observe folds one driver stream event into the bundle. It is the only
+// place scheduler decisions become metric observations; the node gauges,
+// which track cluster state rather than events, are set by the driver.
+// Calls come from the owning scheduler's goroutine.
+func (m *SchedMetrics) Observe(ev *AuditEvent) {
+	switch ev.Kind {
+	case KindReserve:
+		m.Reservations.Inc()
+	case KindPreReserve:
+		m.PreReservations.Inc()
+	case KindReserveConsumed:
+		m.ReservationsConsumed.Inc()
+		m.ReservationHold.ObserveDuration(ev.Elapsed)
+	case KindUnreserve:
+		m.Unreserves.Inc()
+		m.ReservedIdleLoss.ObserveDuration(ev.Elapsed)
+		m.ReservationHold.ObserveDuration(ev.Elapsed)
+	case KindReserveVoided:
+		m.ReservedIdleLoss.ObserveDuration(ev.Elapsed)
+		m.ReservationHold.ObserveDuration(ev.Elapsed)
+	case KindRelease:
+		m.Releases.Inc()
+	case KindDeadlineArmed:
+		m.DeadlinesArmed.Inc()
+	case KindDeadlineExpire:
+		m.DeadlinesExpired.Inc()
+	case KindCopyLaunch:
+		m.CopiesLaunched.Inc()
+	case KindCopyWin:
+		m.CopiesWon.Inc()
+	case KindCopyKill:
+		m.CopiesKilled.Inc()
+	case KindLoanGrant:
+		m.LoansGranted.Add(float64(ev.Count))
+		for i := 0; i < ev.Count; i++ {
+			m.loanGrants[ev.Job] = append(m.loanGrants[ev.Job], ev.Time)
+		}
+	case KindLoanReturn, KindLoanFinish:
+		m.LoansReturned.Add(float64(ev.Count))
+		q := m.loanGrants[ev.Job]
+		for k := ev.Count; k > 0 && len(q) > 0; k-- {
+			m.LendRoundTrip.ObserveDuration(ev.Time - q[0])
+			q = q[1:]
+		}
+		m.loanGrants[ev.Job] = q
+	case KindDrainStart:
+		m.NodeDrains.Inc()
+	case KindDrainEnd:
+		m.NodeDrainsCompleted.Inc()
+	case KindUndrain:
+		m.NodeUndrains.Inc()
+	case KindNodeUp:
+		m.NodeActivations.Inc()
+	case KindReserveMigrate:
+		m.ReservationsMigrated.Inc()
+	case KindAttemptStart:
+		if !ev.Copy {
+			m.QueueWait.ObserveDuration(ev.Elapsed)
+		}
+	case KindAttemptKill:
+		if ev.Src == SrcPreempt {
+			m.AttemptsPreempted.Inc()
+		}
+	case KindPhaseDone:
+		m.PhaseJCT.ObserveDuration(ev.Elapsed)
+	case KindJobDone, KindJobFail:
+		delete(m.loanGrants, ev.Job)
+	}
 }
 
 // NewSchedMetrics registers the scheduler metric families in r under the
@@ -600,5 +674,6 @@ func NewSchedMetrics(r *Registry, labels ...Label) *SchedMetrics {
 		ReservationsMigrated: c("ssr_node_reservations_migrated_total", "Reservations migrated off draining nodes onto surviving slots."),
 		NodesDraining:        r.Gauge("ssr_nodes_draining", "Nodes currently serving a preemption notice.", labels...),
 		NodesDown:            r.Gauge("ssr_nodes_down", "Nodes currently down.", labels...),
+		loanGrants:           make(map[int64][]time.Duration),
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"ssr/internal/dag"
+	"ssr/internal/driver"
 	"ssr/internal/estimate"
+	"ssr/internal/obs"
 )
 
 // msOf converts a virtual duration/timestamp to wire milliseconds.
@@ -433,4 +435,40 @@ type Event struct {
 	Count   int     `json:"count,omitempty"`
 	Copy    bool    `json:"copy,omitempty"`
 	Local   bool    `json:"local,omitempty"`
+}
+
+// wireEvent projects one driver stream event onto the bus's wire shape; ok
+// is false for kinds the bus does not carry. Lifecycle kinds keep their
+// names, and the reservation and node decisions the bus carries keep its
+// older names: reserve and pre_reserve are both "reserve", loan_grant is
+// "borrow", and drain_start, undrain and drain_end are "node_drain",
+// "node_undrain" and "node_down". Slot is set only on attempt and
+// reservation events, and the static-fence owner carries no job name.
+func wireEvent(ev *obs.AuditEvent) (Event, bool) {
+	typ, slot := ev.Kind.String(), 0
+	switch ev.Kind {
+	case obs.KindJobStart, obs.KindPhaseStart, obs.KindPhaseDone, obs.KindJobDone,
+		obs.KindJobFail, obs.KindDeadlineExpire, obs.KindLoanReturn, obs.KindNodeUp:
+	case obs.KindAttemptStart, obs.KindAttemptFinish, obs.KindAttemptKill, obs.KindUnreserve:
+		slot = ev.Slot
+	case obs.KindReserve, obs.KindPreReserve:
+		typ, slot = "reserve", ev.Slot
+	case obs.KindLoanGrant:
+		typ = "borrow"
+	case obs.KindDrainStart:
+		typ = "node_drain"
+	case obs.KindUndrain:
+		typ = "node_undrain"
+	case obs.KindDrainEnd:
+		typ = "node_down"
+	default:
+		return Event{}, false
+	}
+	name := ev.JobName
+	if ev.Job == int64(driver.StaticJobID) {
+		name = ""
+	}
+	return Event{TimeMs: msOf(ev.Time), Type: typ, Job: ev.Job, JobName: name,
+		Phase: ev.Phase, Task: ev.Task, Slot: slot, Shard: ev.Shard, Count: ev.Count,
+		Copy: ev.Copy, Local: ev.Local}, true
 }

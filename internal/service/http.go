@@ -113,26 +113,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //	GET  /v1/healthz        liveness
 //
 // Every error response is the uniform envelope
-// {"error": {"code", "message", "retry_after_ms"}}. The unversioned
-// routes of earlier releases remain as deprecated aliases (marked with a
-// Deprecation response header) for one release; GET /jobs keeps its
-// legacy bare-array shape, everything else matches v1 exactly.
+// {"error": {"code", "message", "retry_after_ms"}}.
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
-	// handle registers one route at its v1 path and, when legacyPattern
-	// is non-empty, at the legacy unversioned path with a Deprecation
-	// marker (draft-ietf-httpapi-deprecation-header).
-	handle := func(v1Pattern, legacyPattern string, h http.HandlerFunc) {
-		mux.HandleFunc(v1Pattern, h)
-		if legacyPattern != "" {
-			mux.HandleFunc(legacyPattern, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", "true")
-				h(w, r)
-			})
-		}
-	}
-
-	handle("POST /v1/jobs", "POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
@@ -145,7 +129,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusCreated, st)
 	})
-	handle("GET /v1/jobs", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		limit := 0
 		if v := q.Get("limit"); v != "" {
@@ -172,17 +156,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, list)
 	})
-	// Legacy GET /jobs keeps the bare-array body earlier clients parse.
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		list, err := svc.List()
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, list)
-	})
-	handle("GET /v1/jobs/{id}", "GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
@@ -198,10 +172,10 @@ func NewHandler(svc *Service) http.Handler {
 			writeJSON(w, http.StatusOK, st)
 		}
 	})
-	handle("GET /v1/tenants", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.TenantStatuses())
 	})
-	handle("GET /v1/tenants/{id}", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/tenants/{id}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("id")
 		for _, ts := range svc.TenantStatuses() {
 			if ts.Name == name {
@@ -211,7 +185,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no tenant %q", name))
 	})
-	handle("GET /v1/cluster", "GET /cluster", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
 		cs, err := svc.Cluster()
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -219,7 +193,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, cs)
 	})
-	handle("GET /v1/nodes", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
 		ns, err := svc.Nodes()
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -244,7 +218,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		return shard, node, true
 	}
-	handle("POST /v1/nodes/{id}/drain", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/nodes/{id}/drain", func(w http.ResponseWriter, r *http.Request) {
 		shard, node, ok := nodeTarget(w, r)
 		if !ok {
 			return
@@ -264,7 +238,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 	})
-	handle("POST /v1/nodes/{id}/undrain", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/nodes/{id}/undrain", func(w http.ResponseWriter, r *http.Request) {
 		shard, node, ok := nodeTarget(w, r)
 		if !ok {
 			return
@@ -275,7 +249,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "up"})
 	})
-	handle("GET /v1/metrics", "GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("format") {
 		case "prometheus":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -294,7 +268,7 @@ func NewHandler(svc *Service) http.Handler {
 				fmt.Errorf("unknown metrics format %q", r.URL.Query().Get("format")))
 		}
 	})
-	handle("GET /v1/trace", "GET /trace", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
 		rec := svc.Trace()
 		if rec == nil {
 			writeError(w, http.StatusNotFound,
@@ -316,7 +290,7 @@ func NewHandler(svc *Service) http.Handler {
 				fmt.Errorf("unknown trace format %q", r.URL.Query().Get("format")))
 		}
 	})
-	handle("GET /v1/audit", "GET /audit", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
 		audit := svc.Audit()
 		if audit == nil {
 			writeError(w, http.StatusNotFound,
@@ -326,7 +300,7 @@ func NewHandler(svc *Service) http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = audit.WriteJSONL(w)
 	})
-	handle("GET /v1/estimators", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/estimators", func(w http.ResponseWriter, r *http.Request) {
 		est := svc.Estimators()
 		if est == nil {
 			writeError(w, http.StatusNotFound,
@@ -335,10 +309,10 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, EstimatorList{Classes: est.Snapshot()})
 	})
-	handle("GET /v1/healthz", "GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handle("GET /v1/events", "GET /events", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/events", func(w http.ResponseWriter, r *http.Request) {
 		serveEvents(svc, w, r)
 	})
 	return mux

@@ -16,7 +16,8 @@ func waitTerminal(t *testing.T, svc *Service, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		list, err := svc.List()
+		page, err := svc.ListPage(0, 0, "")
+		list := page.Jobs
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 	waitTerminal(t, svc, jobs)
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	resp, err := http.Get(ts.URL + "/v1/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 
 	// The Perfetto and audit endpoints serve the same run.
-	resp, err = http.Get(ts.URL + "/trace?format=perfetto")
+	resp, err = http.Get(ts.URL + "/v1/trace?format=perfetto")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(perf), `"traceEvents"`) {
 		t.Errorf("GET /trace?format=perfetto: %d, body %.120s", resp.StatusCode, perf)
 	}
-	resp, err = http.Get(ts.URL + "/audit")
+	resp, err = http.Get(ts.URL + "/v1/audit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestAuditDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, svc, 1)
-	resp, err := http.Get(ts.URL + "/audit")
+	resp, err := http.Get(ts.URL + "/v1/audit")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,11 +46,11 @@ type Config struct {
 	Router shard.Router
 	// Lending configures cross-shard SSR slot lending (Shards > 1).
 	Lending shard.LendingConfig
-	// Driver configures the scheduling policy. Trace and OnEvent set here
-	// are honored alongside the service's own wiring; with Shards > 1
-	// both are invoked from every shard's loop goroutine (trace.Recorder
-	// is locked; a custom OnEvent must be concurrency-safe). Lender must
-	// be nil — the service wires its own broker.
+	// Driver configures the scheduling policy. An OnEvent set here
+	// receives every shard's event stream after the service's own
+	// consumers; with Shards > 1 it is invoked from every shard's loop
+	// goroutine and must be concurrency-safe. Lender must be nil — the
+	// service wires its own broker.
 	Driver driver.Options
 	// Dilation is the virtual-to-real time ratio (realtime.Options).
 	Dilation float64
@@ -165,6 +165,7 @@ type Service struct {
 	broker  *shard.Broker
 	bus     *Bus
 	rec     *trace.Recorder
+	tracer  func(*obs.AuditEvent) // rec's stream filter; nil without rec
 	reg     *obs.Registry
 	audit   *obs.Audit
 	est     *estimate.Registry
@@ -184,6 +185,8 @@ type Service struct {
 	completed   int
 	failed      int
 	draining    bool
+	// drained wakes a waiting Drain once outstanding reaches zero.
+	drained chan struct{}
 
 	baselineCh chan baselineReq
 	baselineWG sync.WaitGroup
@@ -241,10 +244,9 @@ func New(cfg Config) (*Service, error) {
 		s.est = estimate.New(cfg.Estimator)
 		s.est.Export(s.reg)
 	}
-	if cfg.RecordTrace && cfg.Driver.Trace == nil {
+	if cfg.RecordTrace {
 		s.rec = trace.NewRecorder()
-	} else {
-		s.rec = cfg.Driver.Trace
+		s.tracer = obs.Tracer(s.rec)
 	}
 
 	split := shard.NodeSplit(cfg.Nodes, cfg.Shards)
@@ -270,28 +272,16 @@ func New(cfg Config) (*Service, error) {
 	}
 
 	for i, sh := range s.shards {
-		i, sh := i, sh
 		dopts := cfg.Driver
-		dopts.Trace = s.rec
-		chained := cfg.Driver.OnEvent
-		dopts.OnEvent = func(ev driver.Event) {
-			s.onDriverEvent(i, ev)
-			if chained != nil {
-				chained(ev)
+		user := cfg.Driver.OnEvent
+		dopts.OnEvent = func(ev *obs.AuditEvent) {
+			s.onDriverEvent(ev)
+			if user != nil {
+				user(ev)
 			}
 		}
 		if s.broker != nil {
 			dopts.Lender = s.broker.Lender(i)
-			innerDrain := cfg.Driver.OnDrain
-			dopts.OnDrain = func(node int) {
-				// Runs on the shard loop inside the drain event: recall
-				// this shard's unconsumed loans parked on the draining
-				// node before borrowers place more work there.
-				s.broker.RecallNode(i, node, sh.eng.Now())
-				if innerDrain != nil {
-					innerDrain(node)
-				}
-			}
 		}
 		// Per-tenant Eq. 3: a tenant with a configured IsolationP gets
 		// its own reservation deadline; everyone else inherits the
@@ -528,10 +518,8 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		}
 	}
 	s.submitted--
-	s.outstanding--
 	sh.assigned--
-	sh.pending--
-	sh.demand -= entry.demand
+	s.retireLocked(sh, entry)
 	s.tenants.Release(entry.tenant, entry.demand, entry.tasks)
 	s.mu.Unlock()
 	if serr != nil {
@@ -540,75 +528,85 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	return JobStatus{}, err
 }
 
-// onDriverEvent bridges one shard's driver lifecycle events onto the shared
-// bus and keeps the service's job-state machine in step. It runs on the
-// originating shard's loop goroutine, inside the simulation event that
-// caused it; with multiple shards the bus interleaves their streams, so
-// wire timestamps are monotone per shard, not globally.
-func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) {
-	s.bus.Publish(Event{
-		TimeMs:  msOf(ev.Time),
-		Type:    ev.Type.String(),
-		Job:     int64(ev.Job),
-		JobName: ev.JobName,
-		Phase:   ev.Phase,
-		Task:    ev.Task,
-		Slot:    int(ev.Slot),
-		Copy:    ev.Copy,
-		Local:   ev.Local,
-		Shard:   shardIdx,
-		Count:   ev.Count,
-	})
-	switch ev.Type {
-	case driver.EventJobStart, driver.EventJobDone, driver.EventJobFail:
+// onDriverEvent consumes one shard's driver stream on that shard's loop
+// goroutine, inside the simulation event that caused it: it feeds the
+// trace recorder, recalls loans parked on a draining node, publishes the
+// bus's share of the stream and keeps the service's job-state machine in
+// step. With multiple shards the bus interleaves their streams, so wire
+// timestamps are monotone per shard, not globally.
+func (s *Service) onDriverEvent(ev *obs.AuditEvent) {
+	if s.tracer != nil {
+		s.tracer(ev)
+	}
+	if ev.Kind == obs.KindDrainStart && s.broker != nil {
+		// Recall this shard's unconsumed loans parked on the draining
+		// node before borrowers place more work there.
+		s.broker.RecallNode(ev.Shard, ev.Slot, ev.Time)
+	}
+	wire, ok := wireEvent(ev)
+	if !ok {
+		return
+	}
+	s.bus.Publish(wire)
+	switch ev.Kind {
+	case obs.KindJobStart, obs.KindJobDone, obs.KindJobFail:
 	default:
 		// Only job-lifecycle events touch the service's state machine.
 		// Attempt and reservation events — the bulk of the stream — skip
 		// s.mu entirely so shard loops do not contend with API readers.
 		return
 	}
+	id := dag.JobID(ev.Job)
 	s.mu.Lock()
-	entry, ok := s.jobs[ev.Job]
-	if !ok || entry.shard != shardIdx {
+	entry, ok := s.jobs[id]
+	if !ok || entry.shard != ev.Shard {
 		s.mu.Unlock()
 		return // static-partition sentinel or pre-service job
 	}
+	home := s.shards[ev.Shard]
 	var baseJob *dag.Job
-	var baseNodes int
-	switch ev.Type {
-	case driver.EventJobStart:
+	switch ev.Kind {
+	case obs.KindJobStart:
 		entry.state = StateRunning
 		s.running++
-	case driver.EventJobDone:
+	case obs.KindJobDone:
 		if entry.state == StateRunning {
 			s.running--
 		}
 		entry.state = StateCompleted
 		s.completed++
-		s.outstanding--
-		s.shards[shardIdx].pending--
-		s.shards[shardIdx].demand -= entry.demand
+		s.retireLocked(home, entry)
 		s.tenants.Complete(entry.tenant, entry.demand, entry.tasks)
 		baseJob = entry.job
-		baseNodes = s.shards[shardIdx].nodes
-	case driver.EventJobFail:
+	case obs.KindJobFail:
 		if entry.state == StateRunning {
 			s.running--
 		}
 		entry.state = StateFailed
 		s.failed++
-		s.outstanding--
-		s.shards[shardIdx].pending--
-		s.shards[shardIdx].demand -= entry.demand
+		s.retireLocked(home, entry)
 		s.tenants.Release(entry.tenant, entry.demand, entry.tasks)
 	}
 	s.mu.Unlock()
 	if baseJob != nil {
 		// Slowdown baselines run alone on a cluster shaped like the home
 		// shard: that is the isolation the paper's metric normalizes by.
-		if st, found := s.shards[shardIdx].drv.Result(ev.Job); found {
-			s.requestBaseline(baseJob, baseNodes, st.JCT())
+		if st, found := home.drv.Result(id); found {
+			s.requestBaseline(baseJob, home.nodes, st.JCT())
 		}
+	}
+}
+
+// retireLocked takes a terminal or rolled-back job off the outstanding
+// and per-shard placement counts, and wakes a waiting Drain once nothing is
+// outstanding. Callers hold s.mu.
+func (s *Service) retireLocked(sh *svcShard, entry *jobEntry) {
+	s.outstanding--
+	sh.pending--
+	sh.demand -= entry.demand
+	if s.outstanding == 0 && s.drained != nil {
+		close(s.drained)
+		s.drained = nil
 	}
 }
 
@@ -673,38 +671,6 @@ func (s *Service) Status(id int64) (JobStatus, bool, error) {
 		s.mu.Unlock()
 	})
 	return st, true, err
-}
-
-// List returns every admitted job in submission order.
-func (s *Service) List() ([]JobStatus, error) {
-	s.mu.Lock()
-	ids := append([]dag.JobID(nil), s.order...)
-	entries := make([]*jobEntry, len(ids))
-	perShard := make([][]int, len(s.shards))
-	for i, id := range ids {
-		e := s.jobs[id]
-		entries[i] = e
-		perShard[e.shard] = append(perShard[e.shard], i)
-	}
-	s.mu.Unlock()
-	out := make([]JobStatus, len(ids))
-	for k, members := range perShard {
-		if len(members) == 0 {
-			continue
-		}
-		sh := s.shards[k]
-		err := sh.rt.Call(func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			for _, i := range members {
-				out[i] = s.statusOfLocked(sh, ids[i], entries[i])
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ListPage returns admitted jobs in submission order, starting after the
@@ -1050,49 +1016,48 @@ func (s *Service) Metrics() (MetricsStatus, error) {
 func (s *Service) Drain(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	s.draining = true
-	s.mu.Unlock()
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		s.mu.Lock()
-		left := s.outstanding
+	if s.outstanding == 0 {
 		s.mu.Unlock()
-		if left == 0 {
-			return 0, nil
-		}
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
-			victims := make([][]dag.JobID, len(s.shards))
-			for _, id := range s.order {
-				if entry := s.jobs[id]; !TerminalState(entry.state) {
-					victims[entry.shard] = append(victims[entry.shard], id)
-				}
-			}
-			s.mu.Unlock()
-			aborted := 0
-			for k, ids := range victims {
-				if len(ids) == 0 {
-					continue
-				}
-				sh := s.shards[k]
-				err := sh.rt.Call(func() {
-					for _, id := range ids {
-						// A job may have finished since the snapshot;
-						// Abort then errors and is not counted.
-						if err := sh.drv.Abort(id); err == nil {
-							aborted++
-						}
-					}
-				})
-				if err != nil {
-					return aborted, err
-				}
-			}
-			return aborted, nil
-		case <-ticker.C:
+		return 0, nil
+	}
+	if s.drained == nil {
+		s.drained = make(chan struct{})
+	}
+	done := s.drained
+	s.mu.Unlock()
+	select {
+	case <-done:
+		return 0, nil
+	case <-ctx.Done():
+	}
+	s.mu.Lock()
+	victims := make([][]dag.JobID, len(s.shards))
+	for _, id := range s.order {
+		if entry := s.jobs[id]; !TerminalState(entry.state) {
+			victims[entry.shard] = append(victims[entry.shard], id)
 		}
 	}
+	s.mu.Unlock()
+	aborted := 0
+	for k, ids := range victims {
+		if len(ids) == 0 {
+			continue
+		}
+		sh := s.shards[k]
+		err := sh.rt.Call(func() {
+			for _, id := range ids {
+				// A job may have finished since the snapshot; Abort
+				// then errors and is not counted.
+				if err := sh.drv.Abort(id); err == nil {
+					aborted++
+				}
+			}
+		})
+		if err != nil {
+			return aborted, err
+		}
+	}
+	return aborted, nil
 }
 
 // requestBaseline enqueues an alone-JCT computation for a completed job. A

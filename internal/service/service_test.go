@@ -459,7 +459,8 @@ func TestServiceDrain(t *testing.T) {
 	if res.aborted == 0 {
 		t.Error("drain deadline passed with nothing aborted; jobs should not have finished")
 	}
-	list, err := svc.List()
+	page, err := svc.ListPage(0, 0, "")
+	list := page.Jobs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +479,26 @@ func TestServiceDrain(t *testing.T) {
 	// The killed attempts reached the trace, ready for the shutdown flush.
 	if svc.Trace().Len() == 0 {
 		t.Error("trace empty after drain killed running attempts")
+	}
+}
+
+// TestDrainWakesOnLastCompletion covers Drain's early exit: the last
+// job's completion wakes it long before its deadline. TestServiceDrain
+// covers the other exit, where the deadline passes first.
+func TestDrainWakesOnLastCompletion(t *testing.T) {
+	svc := newTestService(t, Config{Nodes: 1, SlotsPerNode: 1, Dilation: 50,
+		Driver: driver.Options{Mode: driver.ModeNone}})
+	if _, err := svc.Submit(JobSpec{Name: "d", Priority: 1,
+		Phases: []PhaseSpec{{DurationsMs: []float64{2000}}}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if n, err := svc.Drain(ctx); n != 0 || err != nil || ctx.Err() != nil {
+		t.Fatalf("Drain = %d, %v (ctx %v); want 0, nil before the deadline", n, err, ctx.Err())
+	}
+	if ms, err := svc.Metrics(); err != nil || ms.JobsCompleted != 1 {
+		t.Fatalf("after drain: %d completed, err %v", ms.JobsCompleted, err)
 	}
 }
 

@@ -15,7 +15,8 @@ func waitAllTerminal(t *testing.T, svc *Service, want int, timeout time.Duration
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		list, err := svc.List()
+		page, err := svc.ListPage(0, 0, "")
+		list := page.Jobs
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,8 @@ func TestServiceShardedDrain(t *testing.T) {
 	if _, err := svc.Submit(long); err != ErrDraining {
 		t.Errorf("submit during drain returned %v, want ErrDraining", err)
 	}
-	list, err := svc.List()
+	page, err := svc.ListPage(0, 0, "")
+	list := page.Jobs
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,6 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 		{"metrics bad format", "GET", "/v1/metrics?format=bogus", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"trace disabled", "GET", "/v1/trace", "", http.StatusNotFound, CodeNotFound},
 		{"events bad since", "GET", "/v1/events?since=abc", "", http.StatusBadRequest, CodeInvalidArgument},
-		{"legacy job bad id", "GET", "/jobs/abc", "", http.StatusBadRequest, CodeInvalidArgument},
-		{"legacy job unknown id", "GET", "/jobs/424242", "", http.StatusNotFound, CodeNotFound},
-		{"legacy metrics bad format", "GET", "/metrics?format=bogus", "", http.StatusBadRequest, CodeInvalidArgument},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,11 +92,6 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 			info := decodeEnvelope(t, resp)
 			if info.Code != tc.wantCode {
 				t.Errorf("code = %q, want %q", info.Code, tc.wantCode)
-			}
-			if strings.HasPrefix(tc.path, "/jobs") || strings.HasPrefix(tc.path, "/metrics") {
-				if resp.Header.Get("Deprecation") != "true" {
-					t.Error("legacy alias missing Deprecation header")
-				}
 			}
 		})
 	}

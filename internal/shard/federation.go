@@ -62,28 +62,24 @@ func New(opts Options) (*Federation, error) {
 	for i, sh := range f.shards {
 		i, sh := i, sh
 		dopts := o.Driver
-		inner := o.Driver.OnEvent // only non-nil when Shards == 1
-		emit := o.OnEvent
-		dopts.OnEvent = func(ev driver.Event) {
-			if ev.Type == driver.EventJobDone || ev.Type == driver.EventJobFail {
+		user := o.Driver.OnEvent
+		dopts.OnEvent = func(ev *obs.AuditEvent) {
+			switch ev.Kind {
+			case obs.KindJobDone, obs.KindJobFail:
 				sh.pending--
+			case obs.KindDrainStart:
+				// Idle loans checked out of the draining node go home
+				// before the wire.
+				if f.broker != nil {
+					f.broker.RecallNode(i, ev.Slot, f.now)
+				}
 			}
-			if inner != nil {
-				inner(ev)
-			}
-			if emit != nil {
-				emit(i, ev)
+			if user != nil {
+				user(ev)
 			}
 		}
 		if f.broker != nil {
 			dopts.Lender = f.broker.Lender(i)
-			innerDrain := o.Driver.OnDrain
-			dopts.OnDrain = func(node int) {
-				f.broker.RecallNode(i, node, f.now)
-				if innerDrain != nil {
-					innerDrain(node)
-				}
-			}
 		}
 		dopts.Audit = o.Audit
 		dopts.AuditShard = i

@@ -32,11 +32,11 @@ type Options struct {
 	// plus one of the Nodes%K remainder when i < Nodes%K).
 	Nodes        int
 	SlotsPerNode int
-	// Driver is the per-shard scheduler configuration. Queue, Lender,
-	// OnEvent and Trace must be left nil (each shard gets its own queue;
-	// the federation wires the lender and event fan-in) — except that
-	// with Shards == 1, OnEvent and Trace pass through untouched so a
-	// single-shard federation stays bit-identical to a plain driver.
+	// Driver is the per-shard scheduler configuration. Queue and Lender
+	// must be left nil (each shard gets its own queue; the federation
+	// wires the lender). Driver.OnEvent receives every shard's event
+	// stream, each event tagged with its shard index; the federation
+	// steps all shards on one goroutine, so the hook needs no locking.
 	// Driver.Adaptive passes through to every shard as-is: a class's tail
 	// is a property of the workload, not of the partition, so all shards
 	// should share one estimate.Registry. Offline this stays deterministic
@@ -46,10 +46,6 @@ type Options struct {
 	Router Router
 	// Lending parameterizes the cross-shard lending broker.
 	Lending LendingConfig
-	// OnEvent, when non-nil, receives every shard's scheduler events
-	// tagged with the originating shard index. Like driver.Options.
-	// OnEvent it runs synchronously inside simulation events.
-	OnEvent func(shard int, ev driver.Event)
 	// Audit, when non-nil, receives every shard's reservation-decision
 	// events tagged with the shard index (driver.Options.AuditShard).
 	// Set it here, not on Driver: the federation owns the shard tags.
@@ -114,14 +110,6 @@ func (o *Options) validate() error {
 	}
 	if o.Driver.Audit != nil || o.Driver.Metrics != nil {
 		return errors.New("shard: use Options.Audit/Registry, not Driver.Audit/Metrics (the federation tags shards)")
-	}
-	if o.Shards > 1 {
-		if o.Driver.OnEvent != nil {
-			return errors.New("shard: use Options.OnEvent, not Driver.OnEvent, with multiple shards")
-		}
-		if o.Driver.Trace != nil {
-			return errors.New("shard: Driver.Trace is only supported with Shards == 1")
-		}
 	}
 	return nil
 }

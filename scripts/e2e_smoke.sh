@@ -2,8 +2,8 @@
 # End-to-end smoke test for the online daemon: build ssrd, boot it on a
 # random port with per-tenant quotas, run a two-phase job through the v1
 # HTTP API with curl, check quota backpressure (429 + Retry-After), the
-# metrics, tenant and event endpoints, the deprecated legacy aliases, then
-# verify a clean SIGTERM drain.
+# metrics, tenant and event endpoints, that the unversioned aliases are
+# gone, then verify a clean SIGTERM drain.
 #
 # Usage: scripts/e2e_smoke.sh   (from the repo root; needs go + curl)
 set -euo pipefail
@@ -146,12 +146,9 @@ curl -fsS "$base/v1/audit" | head -n1 | grep -q '"kind"' || fail "audit stream e
 events=$(curl -fs --max-time 2 "$base/v1/events?since=1" || true)
 echo "$events" | grep -q 'job_done' || fail "event stream missing job_done"
 
-# Legacy unversioned routes must keep working for one release, marked with
-# a Deprecation header and serving the same data.
-legacy_headers="$workdir/legacy_headers.txt"
-curl -fsS -D "$legacy_headers" "$base/jobs/$id" | grep -q '"state": "completed"' || fail "legacy GET /jobs/{id}"
-grep -qi '^Deprecation: true' "$legacy_headers" || fail "legacy route missing Deprecation header"
-echo "e2e_smoke: legacy aliases ok (Deprecation header set)"
+# The unversioned aliases of earlier releases are gone.
+code=$(curl -s -o /dev/null -w '%{http_code}' "$base/jobs/$id")
+[[ "$code" == 404 ]] || fail "unversioned GET /jobs/{id} answered $code, want 404"
 
 kill -TERM "$ssrd_pid"
 rc=0
