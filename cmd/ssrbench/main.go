@@ -8,12 +8,17 @@
 //
 // With -baseline, the run exits 1 when any scenario's ns/decision
 // regresses by more than -max-regress relative to the baseline report.
+// Without -pr, the PR number stamped into the report is read from the
+// -out file name (BENCH_<n>.json).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 
 	"ssr/internal/bench"
 )
@@ -22,7 +27,7 @@ func main() {
 	var (
 		short      = flag.Bool("short", false, "run scenarios at reduced scale (CI)")
 		out        = flag.String("out", "", "write BENCH JSON report to this path")
-		pr         = flag.Int("pr", 9, "PR number stamped into the report")
+		pr         = flag.Int("pr", 0, "PR number stamped into the report (default: <n> of an -out named BENCH_<n>.json)")
 		scenarios  = flag.String("scenarios", "", "regexp filtering scenario names (default all)")
 		baseline   = flag.String("baseline", "", "prior BENCH_*.json to gate against")
 		maxRegress = flag.Float64("max-regress", 0.20, "tolerated ns/decision growth vs baseline (0.20 = +20%)")
@@ -37,6 +42,9 @@ func main() {
 		return
 	}
 
+	if *pr == 0 {
+		*pr = prFromPath(*out)
+	}
 	rep, err := bench.RunAll(*pr, *short, *scenarios)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssrbench:", err)
@@ -77,4 +85,18 @@ func main() {
 		}
 		fmt.Printf("no ns/decision regression beyond %.0f%% vs %s\n", 100**maxRegress, *baseline)
 	}
+}
+
+// prFromPath returns n for a report path whose file name is BENCH_<n>.json,
+// and 0 for any other path.
+func prFromPath(path string) int {
+	name := filepath.Base(path)
+	if !strings.HasPrefix(name, "BENCH_") || !strings.HasSuffix(name, ".json") {
+		return 0
+	}
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json"))
+	if err != nil || n < 0 {
+		return 0
+	}
+	return n
 }

@@ -32,6 +32,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ssr/internal/dag"
@@ -157,11 +158,16 @@ type Cluster struct {
 	maxSize int
 	// reserved tracks idle reserved slots per job, each kept sorted.
 	reserved map[dag.JobID]*jobReservations
-	// reservedOrder mirrors reserved's keys sorted ascending, so the
-	// scheduler's per-dispatch sweeps and override scans iterate in
-	// deterministic order without sorting map keys each time.
-	reservedOrder []dag.JobID
-	listener      StateListener
+	// reservedOrder holds the same records as reserved, sorted by job ID,
+	// so the override scan, the census and the driver's per-dispatch
+	// sweep walk them in deterministic order without hashing. Each entry
+	// carries its job ID inline, so a merge against it reads one
+	// contiguous array.
+	reservedOrder []reservedEntry
+	// recFree recycles records whose job released its last reservation,
+	// so a job that reserves again allocates nothing.
+	recFree  []*jobReservations
+	listener StateListener
 	// nodeState holds each node's lifecycle state; the zero value (NodeUp
 	// everywhere) is the homogeneous always-on cluster.
 	nodeState []NodeState
@@ -176,6 +182,11 @@ type Cluster struct {
 type jobReservations struct {
 	priority dag.Priority
 	slots    []SlotID // sorted ascending
+}
+
+type reservedEntry struct {
+	job dag.JobID
+	jr  *jobReservations
 }
 
 // New builds a homogeneous cluster of nodes machines with slotsPerNode
@@ -267,8 +278,9 @@ func (c *Cluster) CountState(state SlotState) int {
 
 // CheckInvariants verifies the slot-state partition: every slot is in
 // exactly one of the five states, a Draining slot sits on a draining node,
-// and the reservation index holds exactly the Reserved slots. It returns
-// the first violation found, or nil.
+// the reservation index holds exactly the Reserved slots, and the ordered
+// reservation records mirror the reservation map. It returns the first
+// violation found, or nil.
 func (c *Cluster) CheckInvariants() error {
 	var census [Draining + 1]int
 	for _, s := range c.slots {
@@ -282,6 +294,35 @@ func (c *Cluster) CheckInvariants() error {
 	}
 	if n := c.TotalReserved(); n != census[Reserved] {
 		return fmt.Errorf("cluster: reservation index holds %d slots, %d are Reserved", n, census[Reserved])
+	}
+	return c.checkReservationIndex()
+}
+
+// checkReservationIndex verifies that reservedOrder and reserved hold the
+// same non-empty records, ascending by job ID, and that every slot a record
+// lists is Reserved for that job, in ascending order.
+func (c *Cluster) checkReservationIndex() error {
+	if len(c.reservedOrder) != len(c.reserved) {
+		return fmt.Errorf("cluster: %d ordered reservation records, %d in the map", len(c.reservedOrder), len(c.reserved))
+	}
+	for i, e := range c.reservedOrder {
+		if i > 0 && c.reservedOrder[i-1].job >= e.job {
+			return fmt.Errorf("cluster: reservation records out of order at job %d", e.job)
+		}
+		if c.reserved[e.job] != e.jr {
+			return fmt.Errorf("cluster: ordered reservation record of job %d is not the map's", e.job)
+		}
+		if len(e.jr.slots) == 0 {
+			return fmt.Errorf("cluster: job %d holds an empty reservation record", e.job)
+		}
+		for k, id := range e.jr.slots {
+			if k > 0 && e.jr.slots[k-1] >= id {
+				return fmt.Errorf("cluster: reserved slots of job %d out of order at slot %d", e.job, id)
+			}
+			if s := c.slots[id]; s.state != Reserved || s.res.Job != e.job {
+				return fmt.Errorf("cluster: job %d lists slot %d, which is %v for job %d", e.job, id, s.state, s.res.Job)
+			}
+		}
 	}
 	return nil
 }
@@ -341,22 +382,16 @@ func (c *Cluster) AcquireReservedFor(job dag.JobID, minSize int) (SlotID, bool) 
 // Among eligible reservations it picks the lowest (priority, job, slot)
 // for determinism.
 func (c *Cluster) AcquireOverride(prio dag.Priority, minSize int) (SlotID, bool) {
-	bestJob := dag.JobID(-1)
-	bestPrio := prio
-	found := false
-	// The set of jobs holding reservations is small (foreground jobs);
-	// the sorted slice walk is cheap and deterministic — ascending job
-	// ID, so the first hit at the winning priority is the lowest job.
-	for _, job := range c.reservedOrder {
-		jr := c.reserved[job]
-		if jr.priority >= prio || !jr.hasAtLeast(c, minSize) {
+	bestJob, bestPrio, found := dag.JobID(0), prio, false
+	// Under contention most running jobs hold reservations, so the walk
+	// visits every record once, in ascending job ID: the first hit at the
+	// winning priority is the lowest job. The records are read in place,
+	// with no map lookup per job.
+	for _, e := range c.reservedOrder {
+		if e.jr.priority >= bestPrio || !e.jr.hasAtLeast(c, minSize) {
 			continue
 		}
-		if !found || jr.priority < bestPrio {
-			found = true
-			bestPrio = jr.priority
-			bestJob = job
-		}
+		bestJob, bestPrio, found = e.job, e.jr.priority, true
 	}
 	if !found {
 		return 0, false
@@ -395,16 +430,21 @@ func (c *Cluster) ReserveAnyFree(r Reservation, minSize int) (SlotID, bool) {
 // ReservedJobs returns the jobs currently holding idle reservations, sorted
 // by job ID for deterministic iteration.
 func (c *Cluster) ReservedJobs() []dag.JobID {
-	return c.AppendReservedJobs(nil)
+	out := make([]dag.JobID, len(c.reservedOrder))
+	for i, e := range c.reservedOrder {
+		out[i] = e.job
+	}
+	return out
 }
 
-// AppendReservedJobs appends the jobs currently holding idle reservations,
-// sorted by job ID, to buf and returns the extended slice. Per-dispatch
-// sweeps pass a scratch buffer they reuse, so snapshotting the set costs
-// no allocation in steady state.
-func (c *Cluster) AppendReservedJobs(buf []dag.JobID) []dag.JobID {
-	return append(buf, c.reservedOrder...)
-}
+// NumReservedJobs returns the number of jobs holding idle reservations.
+func (c *Cluster) NumReservedJobs() int { return len(c.reservedOrder) }
+
+// ReservedJobAt returns the i-th job holding idle reservations in
+// ascending job-ID order, for 0 <= i < NumReservedJobs(). The driver's
+// dispatch sweep merges this order with its own sorted index without
+// copying the set.
+func (c *Cluster) ReservedJobAt(i int) dag.JobID { return c.reservedOrder[i].job }
 
 // TryAcquire attempts to take a specific slot for a task of the given job
 // and priority — the preferred-slot (data locality) path. It succeeds when
@@ -521,8 +561,8 @@ func (c *Cluster) ReservedCount(job dag.JobID) int {
 // TotalReserved returns the number of reserved slots across all jobs.
 func (c *Cluster) TotalReserved() int {
 	n := 0
-	for _, job := range c.reservedOrder {
-		n += len(c.reserved[job].slots)
+	for _, e := range c.reservedOrder {
+		n += len(e.jr.slots)
 	}
 	return n
 }
@@ -747,6 +787,7 @@ func (c *Cluster) consumeReservation(s *Slot) {
 		if len(jr.slots) == 0 {
 			delete(c.reserved, s.res.Job)
 			c.removeReservedJob(s.res.Job)
+			c.recFree = append(c.recFree, jr)
 		}
 	}
 	s.res = Reservation{}
@@ -757,21 +798,29 @@ func (c *Cluster) consumeReservation(s *Slot) {
 func (c *Cluster) reservationsFor(job dag.JobID, prio dag.Priority) *jobReservations {
 	jr := c.reserved[job]
 	if jr == nil {
-		jr = &jobReservations{priority: prio}
+		if n := len(c.recFree); n > 0 {
+			jr = c.recFree[n-1]
+			c.recFree = c.recFree[:n-1]
+			jr.priority = prio
+		} else {
+			jr = &jobReservations{priority: prio}
+		}
 		c.reserved[job] = jr
-		i := sort.Search(len(c.reservedOrder), func(i int) bool { return c.reservedOrder[i] >= job })
-		c.reservedOrder = append(c.reservedOrder, 0)
-		copy(c.reservedOrder[i+1:], c.reservedOrder[i:])
-		c.reservedOrder[i] = job
+		c.reservedOrder = slices.Insert(c.reservedOrder, c.reservedIndex(job), reservedEntry{job: job, jr: jr})
 	}
 	return jr
 }
 
 func (c *Cluster) removeReservedJob(job dag.JobID) {
-	i := sort.Search(len(c.reservedOrder), func(i int) bool { return c.reservedOrder[i] >= job })
-	if i < len(c.reservedOrder) && c.reservedOrder[i] == job {
-		c.reservedOrder = append(c.reservedOrder[:i], c.reservedOrder[i+1:]...)
+	if i := c.reservedIndex(job); i < len(c.reservedOrder) && c.reservedOrder[i].job == job {
+		c.reservedOrder = slices.Delete(c.reservedOrder, i, i+1)
 	}
+}
+
+// reservedIndex returns the position of job's record in reservedOrder, or
+// where it would be inserted.
+func (c *Cluster) reservedIndex(job dag.JobID) int {
+	return sort.Search(len(c.reservedOrder), func(i int) bool { return c.reservedOrder[i].job >= job })
 }
 
 func (c *Cluster) pushFree(s *Slot) {

@@ -439,3 +439,80 @@ func TestClusterStateMachineProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// overrideCluster builds a cluster on which jobs reservation holders each
+// hold one idle reserved slot at priorities 1..5, the rest of the slots
+// busy.
+func overrideCluster(tb testing.TB, jobs int) *Cluster {
+	tb.Helper()
+	c, err := New(jobs, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < c.NumSlots(); i++ {
+		if _, ok := c.AcquireFree(1); !ok {
+			tb.Fatal("AcquireFree failed on a fresh cluster")
+		}
+	}
+	for j := 0; j < jobs; j++ {
+		res := Reservation{Job: dag.JobID(j + 1), Priority: dag.Priority(1 + j%5)}
+		if err := c.Reserve(SlotID(2*j), res); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// BenchmarkAcquireOverride measures the override scan over 150 reserving
+// jobs: "miss" asks at a priority no reservation is below (the common
+// contended case), "hit" overrides the lowest-priority reservation and
+// puts it back.
+func BenchmarkAcquireOverride(b *testing.B) {
+	b.Run("miss", func(b *testing.B) {
+		c := overrideCluster(b, 150)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.AcquireOverride(1, 1); ok {
+				b.Fatal("override below priority 1 succeeded")
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		c := overrideCluster(b, 150)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slot, ok := c.AcquireOverride(9, 1)
+			if !ok {
+				b.Fatal("override failed")
+			}
+			if err := c.Reserve(slot, Reservation{Job: dag.JobID(slot/2 + 1), Priority: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestAcquireOverrideAllocatesNothing pins the override scan at zero
+// allocations, both when it finds nothing and when it takes a slot whose
+// job then reserves again (a recycled record).
+func TestAcquireOverrideAllocatesNothing(t *testing.T) {
+	c := overrideCluster(t, 150)
+	if n := testing.AllocsPerRun(100, func() { c.AcquireOverride(1, 1) }); n != 0 {
+		t.Fatalf("AcquireOverride miss allocates %v times, want 0", n)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		slot, ok := c.AcquireOverride(9, 1)
+		if !ok {
+			t.Fatal("override failed")
+		}
+		if err := c.Reserve(slot, Reservation{Job: dag.JobID(slot/2 + 1), Priority: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("AcquireOverride hit and re-reserve allocate %v times, want 0", n)
+	}
+	checkPartition(t, c)
+}

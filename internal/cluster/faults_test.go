@@ -217,17 +217,35 @@ func TestCheckInvariantsCatchesViolations(t *testing.T) {
 		name    string
 		corrupt func(c *Cluster)
 	}{
-		{"invalid state", func(c *Cluster) { c.slots[0].state = 0 }},
-		{"draining on an up node", func(c *Cluster) { c.slots[0].state = Draining }},
-		{"reserved outside the index", func(c *Cluster) { c.slots[0].state = Reserved }},
+		{"invalid state", func(c *Cluster) { c.slots[1].state = 0 }},
+		{"draining on an up node", func(c *Cluster) { c.slots[1].state = Draining }},
+		{"reserved outside the index", func(c *Cluster) { c.slots[1].state = Reserved }},
+		{"ordered records out of order", func(c *Cluster) {
+			c.reservedOrder[0], c.reservedOrder[1] = c.reservedOrder[1], c.reservedOrder[0]
+		}},
+		{"ordered record missing", func(c *Cluster) {
+			c.reservedOrder = c.reservedOrder[:1]
+			c.slots[2].state = Free
+		}},
+		{"ordered record not the map's", func(c *Cluster) {
+			c.reservedOrder[1].jr = &jobReservations{slots: []SlotID{2}}
+		}},
+		{"record lists a slot of another job", func(c *Cluster) {
+			c.slots[2].res.Job = 1
+		}},
 	}
 	for _, tc := range cases {
 		c, err := New(2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for j, slot := range []SlotID{0, 2} {
+			if err := c.Reserve(slot, Reservation{Job: dag.JobID(j + 1), Priority: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("fresh cluster: %v", err)
+			t.Fatalf("%s, before corrupting: %v", tc.name, err)
 		}
 		tc.corrupt(c)
 		if err := c.CheckInvariants(); err == nil {

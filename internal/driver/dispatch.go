@@ -32,7 +32,8 @@ func (d *Driver) scheduleDispatch() {
 //     / override slots;
 //   - if the best item cannot be served there are no free slots left, and
 //     only jobs holding their own reservations can still place — handled
-//     by a bounded sweep over reservation-holding jobs.
+//     by a sweep over the jobs that both hold reservations and have a
+//     phase in the queue.
 func (d *Driver) dispatch() {
 	for {
 		it := d.opts.Queue.Best()
@@ -52,15 +53,18 @@ func (d *Driver) dispatch() {
 	}
 	// Jobs holding reservations can place their queued tasks regardless
 	// of queue order; sweep them so a blocked high-priority head of the
-	// queue cannot starve them. The snapshot (placements below mutate the
-	// reservation set) goes into a reused scratch buffer so steady-state
-	// sweeps allocate nothing.
-	d.reservedScratch = d.cl.AppendReservedJobs(d.reservedScratch[:0])
-	for _, jobID := range d.reservedScratch {
-		jr := d.jobsByID[jobID]
-		if jr == nil || jr.finished {
+	// queue cannot starve them. Only a job with a phase in the queue has a
+	// placeable phase, so the sweep visits the intersection of the
+	// cluster's reservation holders with the queued-job index, both
+	// ascending by job ID (see DESIGN.md, "Dispatch indexes"). The snapshot
+	// (placements below mutate both sets) goes into a reused scratch buffer
+	// so steady-state sweeps allocate nothing.
+	d.sweepJobs = d.appendSweepJobs(d.sweepJobs[:0])
+	for _, jr := range d.sweepJobs {
+		if jr.finished {
 			continue
 		}
+		jobID := jr.job.ID
 		for _, pr := range jr.phases {
 			if pr == nil {
 				continue
@@ -81,6 +85,28 @@ func (d *Driver) dispatch() {
 			}
 		}
 	}
+}
+
+// appendSweepJobs appends to buf, ascending by job ID, every job that holds
+// idle reservations and has a phase in the scheduling queue: the sorted
+// merge of the cluster's reservation holders with queuedJobs.
+func (d *Driver) appendSweepJobs(buf []*jobRun) []*jobRun {
+	q := d.queuedJobs
+	n := d.cl.NumReservedJobs()
+	for i, j := 0, 0; i < n && j < len(q); {
+		held, queued := d.cl.ReservedJobAt(i), q[j].id
+		switch {
+		case held < queued:
+			i++
+		case held > queued:
+			j++
+		default:
+			buf = append(buf, q[j].jr)
+			i++
+			j++
+		}
+	}
+	return buf
 }
 
 // serveOne places one task of pr, trying placement sources from best to

@@ -270,15 +270,27 @@ type Driver struct {
 	// onFinish once every reference to it (task slots, slotOwner, its
 	// timer's argument) has been dropped.
 	attFree []*attempt
-	// reservedScratch is the reusable snapshot buffer for the dispatch
-	// sweep over reservation-holding jobs.
-	reservedScratch []dag.JobID
+	// queuedJobs indexes the jobs with at least one phase in the
+	// scheduling queue (jobRun.queued > 0), ascending by job ID, with the
+	// ID inline so the dispatch sweep's merge reads one contiguous array.
+	// syncQueue, the only place a phase enters or leaves the queue,
+	// maintains it.
+	queuedJobs []queuedJob
+	// sweepJobs is the reusable snapshot buffer for the dispatch sweep
+	// over reservation-holding queued jobs.
+	sweepJobs []*jobRun
 	// drainTimers holds each draining node's pending notice-expiry event.
 	// Nil until the first DrainNode, so lifecycle-free runs never touch it.
 	drainTimers      map[int]*sim.Timer
 	completeDrainArg func(any)
 	// ev is the copy of the event being emitted that OnEvent reads.
 	ev obs.AuditEvent
+}
+
+// queuedJob is one entry of Driver.queuedJobs.
+type queuedJob struct {
+	id dag.JobID
+	jr *jobRun
 }
 
 // New creates a driver over an engine and cluster.

@@ -2,6 +2,8 @@ package driver
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"ssr/internal/cluster"
@@ -24,6 +26,9 @@ type jobRun struct {
 	phasesDone int
 	running    int // busy slots currently held (originals + copies)
 	finished   bool
+	// queued counts the job's phases in the scheduling queue; the job is
+	// in Driver.queuedJobs exactly while it is positive.
+	queued int
 	// borrowed counts idle cross-shard loans held by the job (granted by
 	// Options.Lender, not yet consumed by a task or returned).
 	borrowed int
@@ -456,15 +461,31 @@ func (d *Driver) openLocality(pr *phaseRun) {
 }
 
 // syncQueue adds or removes the phase from the scheduling queue according
-// to whether it has arbitrary-slot-placeable work.
+// to whether it has arbitrary-slot-placeable work. It is the only place a
+// phase enters or leaves the queue, so it also keeps the job's queued-phase
+// count and the driver's queued-job index in step.
 func (d *Driver) syncQueue(pr *phaseRun) {
+	jr := pr.jr
 	if pr.placeable() && !pr.inQueue {
 		pr.inQueue = true
 		d.opts.Queue.Add(pr)
+		if jr.queued++; jr.queued == 1 {
+			d.queuedJobs = slices.Insert(d.queuedJobs, d.queuedJobIndex(jr.job.ID), queuedJob{id: jr.job.ID, jr: jr})
+		}
 	} else if !pr.placeable() && pr.inQueue {
 		pr.inQueue = false
 		d.opts.Queue.Remove(pr)
+		if jr.queued--; jr.queued == 0 {
+			i := d.queuedJobIndex(jr.job.ID)
+			d.queuedJobs = slices.Delete(d.queuedJobs, i, i+1)
+		}
 	}
+}
+
+// queuedJobIndex returns the position of job in queuedJobs, or where it
+// would be inserted.
+func (d *Driver) queuedJobIndex(job dag.JobID) int {
+	return sort.Search(len(d.queuedJobs), func(i int) bool { return d.queuedJobs[i].id >= job })
 }
 
 // placePreferred assigns constrained tasks to currently takeable preferred

@@ -27,6 +27,7 @@
 package estimate
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -158,8 +159,12 @@ type classKey struct {
 type classState struct {
 	key classKey
 
-	// win is a ring of the last Window task durations in seconds.
+	// win is a ring of the last Window task durations in seconds; sorted
+	// holds the same filled values in ascending order, updated by one
+	// delete and one insert per observation (a single memmove once the
+	// window is full), so a refit needs no sort.
 	win      []float64
+	sorted   []float64
 	head     int
 	filled   int
 	observed uint64
@@ -199,7 +204,6 @@ type Registry struct {
 	cfg     Config
 	classes map[classKey]*classState
 	order   []classKey
-	scratch []float64
 	export  *exporter
 }
 
@@ -219,7 +223,8 @@ func (r *Registry) class(tenant, class string) *classState {
 	key := classKey{tenant: tenant, class: class}
 	cs := r.classes[key]
 	if cs == nil {
-		cs = &classState{key: key, win: make([]float64, r.cfg.Window)}
+		cs = &classState{key: key, win: make([]float64, r.cfg.Window),
+			sorted: make([]float64, 0, r.cfg.Window)}
 		r.classes[key] = cs
 		r.order = append(r.order, key)
 		if r.export != nil {
@@ -238,11 +243,14 @@ func (r *Registry) ObserveTask(tenant, class string, dur time.Duration) (Adaptat
 	defer r.mu.Unlock()
 	cs := r.class(tenant, class)
 	sec := dur.Seconds()
-	cs.win[cs.head] = sec
-	cs.head = (cs.head + 1) % len(cs.win)
-	if cs.filled < len(cs.win) {
+	if cs.filled == len(cs.win) {
+		replaceSorted(cs.sorted, cs.win[cs.head], sec)
+	} else {
+		cs.sorted = slices.Insert(cs.sorted, sort.SearchFloat64s(cs.sorted, sec), sec)
 		cs.filled++
 	}
+	cs.win[cs.head] = sec
+	cs.head = (cs.head + 1) % len(cs.win)
 	cs.observed++
 	cs.sinceFit++
 	cs.lastSec = sec
@@ -255,10 +263,25 @@ func (r *Registry) ObserveTask(tenant, class string, dur time.Duration) (Adaptat
 	return r.refitLocked(cs), true
 }
 
-// refitLocked re-fits cs's window and applies the accept/reject rules.
+// replaceSorted deletes one copy of old from the ascending slice s and
+// inserts x, keeping s sorted: one memmove of the elements between the two
+// positions does both.
+func replaceSorted(s []float64, old, x float64) {
+	i, j := sort.SearchFloat64s(s, old), sort.SearchFloat64s(s, x)
+	if j > i {
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = x
+	} else {
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = x
+	}
+}
+
+// refitLocked re-fits cs's window and applies the accept/reject rules. The
+// MLE reads the ring in place, in slot order, so its sum of logs is the one
+// every earlier build computed; the KS test reads the sorted shadow.
 func (r *Registry) refitLocked(cs *classState) Adaptation {
 	cs.sinceFit = 0
-	r.scratch = append(r.scratch[:0], cs.win[:cs.filled]...)
 	ad := Adaptation{
 		Tenant:   cs.key.tenant,
 		Class:    cs.key.class,
@@ -267,13 +290,13 @@ func (r *Registry) refitLocked(cs *classState) Adaptation {
 		OldTmSec: cs.tmSec,
 		OldP:     cs.effP,
 	}
-	fit, err := stats.FitPareto(r.scratch)
+	fit, err := stats.FitPareto(cs.win[:cs.filled])
 	reason := ""
 	switch {
 	case err != nil:
 		reason = ReasonDegenerate
 	default:
-		ad.KS = stats.KSDistance(r.scratch, fit)
+		ad.KS = stats.KSDistanceSorted(cs.sorted, fit)
 		switch {
 		case ad.KS > r.cfg.MaxKS:
 			reason = ReasonKS

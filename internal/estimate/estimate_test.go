@@ -2,6 +2,8 @@ package estimate
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -183,6 +185,93 @@ func TestClassOf(t *testing.T) {
 	for _, c := range cases {
 		if got := ClassOf(c.name); got != c.want {
 			t.Errorf("ClassOf(%q) = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSortedShadowMirrorsWindow drives random observe sequences that wrap
+// a small window many times, with repeated values, and checks after every
+// observation that the sorted shadow is the window's values in order, and
+// after every refit that its KS distance is the one KSDistance computes.
+func TestSortedShadowMirrorsWindow(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := stats.Stream(seed, "shadow")
+		window := 1 + rng.Intn(40)
+		r := New(Config{Window: window, MinSamples: 2, RefitEvery: 1 + rng.Intn(8)})
+		for i := 0; i < 10*window; i++ {
+			d := time.Duration(1+rng.Intn(50)) * time.Millisecond
+			ad, refit := r.ObserveTask("t", "c", d)
+			cs := r.classes[classKey{tenant: "t", class: "c"}]
+			want := append([]float64(nil), cs.win[:cs.filled]...)
+			sort.Float64s(want)
+			if !slices.Equal(cs.sorted, want) {
+				t.Fatalf("seed %d, observation %d: shadow %v, sorted window %v", seed, i, cs.sorted, want)
+			}
+			if !refit || ad.Reason == ReasonDegenerate {
+				continue
+			}
+			// The refit's KS distance is the copy-and-sort statistic's,
+			// bit for bit.
+			fit, err := stats.FitPareto(cs.win[:cs.filled])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ks := stats.KSDistance(cs.win[:cs.filled], fit); math.Float64bits(ks) != math.Float64bits(ad.KS) {
+				t.Fatalf("seed %d, observation %d: refit KS %v, KSDistance %v", seed, i, ad.KS, ks)
+			}
+		}
+	}
+}
+
+// feedRefit returns a registry whose class has a full window and the
+// observations that make the next ObserveTask call refit it.
+func feedRefit(tb testing.TB) (*Registry, []time.Duration) {
+	tb.Helper()
+	r := New(Config{})
+	rng := stats.Stream(3, "refit")
+	dist := stats.Pareto{Alpha: 1.6, Xm: 2}
+	obs := make([]time.Duration, 4*r.cfg.Window)
+	for i := range obs {
+		obs[i] = time.Duration(dist.Sample(rng) * float64(time.Second))
+	}
+	for _, d := range obs[:r.cfg.Window] {
+		r.ObserveTask("", "job", d)
+	}
+	return r, obs
+}
+
+// TestObserveTaskAllocatesNothing pins ObserveTask at zero allocations
+// over a full refit cycle once the class exists.
+func TestObserveTaskAllocatesNothing(t *testing.T) {
+	r, obs := feedRefit(t)
+	every := r.cfg.RefitEvery
+	i, refits := 0, 0
+	n := testing.AllocsPerRun(20, func() {
+		for k := 0; k < every; k++ {
+			if _, ok := r.ObserveTask("", "job", obs[i%len(obs)]); ok {
+				refits++
+			}
+			i++
+		}
+	})
+	if n != 0 {
+		t.Fatalf("ObserveTask allocates %v times per refit cycle, want 0", n)
+	}
+	if refits == 0 {
+		t.Fatal("no refit ran")
+	}
+}
+
+// BenchmarkObserveTaskRefit measures one refit cycle: RefitEvery
+// observations into a full 256-sample window, the last of which refits.
+func BenchmarkObserveTaskRefit(b *testing.B) {
+	r, obs := feedRefit(b)
+	every := r.cfg.RefitEvery
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < every; k++ {
+			r.ObserveTask("", "job", obs[(i*every+k)%len(obs)])
 		}
 	}
 }

@@ -282,8 +282,8 @@ type SlotStatus struct {
 // (GET /v1/nodes). IDs are per-shard: (Shard, ID) identifies a node on a
 // sharded service.
 type NodeStatus struct {
-	ID    int    `json:"id"`
-	Shard int    `json:"shard,omitempty"`
+	ID    int `json:"id"`
+	Shard int `json:"shard,omitempty"`
 	// State is "up", "draining" or "down".
 	State string `json:"state"`
 	// Speed is the node's speed factor (1 = baseline; task service times

@@ -244,8 +244,17 @@ func TestPaginationAndTenantFilter(t *testing.T) {
 // path: two tenants with hard slot caps hammered from many goroutines must
 // never be observed above their caps, and every rejection must be a typed
 // quota error. Run under -race this also exercises the registry locking.
+//
+// Every task runs ten virtual hours (72 s of wall time at dilation 500),
+// so no admitted job finishes during the submit burst: each tenant admits
+// exactly cap/width jobs and refuses the rest, however slowly the burst
+// runs. The drain then aborts the admitted jobs.
 func TestTwoTenantsNeverExceedCaps(t *testing.T) {
-	const cap = 4
+	const (
+		cap     = 4
+		width   = 2
+		submits = 8 * 10
+	)
 	reg := tenant.NewRegistry()
 	for _, name := range []string{"a", "b"} {
 		if err := reg.Configure(tenant.Config{Name: name, MaxSlots: cap}); err != nil {
@@ -279,7 +288,7 @@ func TestTwoTenantsNeverExceedCaps(t *testing.T) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		admitted int
+		admitted = map[string]int{}
 		rejected int
 	)
 	for g := 0; g < 8; g++ {
@@ -287,25 +296,23 @@ func TestTwoTenantsNeverExceedCaps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			tn := []string{"a", "b"}[g%2]
-			for i := 0; i < 10; i++ {
-				spec := wideSpec(fmt.Sprintf("%s-%d-%d", tn, g, i), 2)
+			for i := 0; i < submits/8; i++ {
+				spec := wideSpec(fmt.Sprintf("%s-%d-%d", tn, g, i), width)
+				for k := range spec.Phases[0].DurationsMs {
+					spec.Phases[0].DurationsMs[k] = 10 * 3600 * 1000
+				}
 				spec.Tenant = tn
 				_, err := cli.Submit(context.Background(), spec)
 				mu.Lock()
 				switch {
 				case err == nil:
-					admitted++
+					admitted[tn]++
 				case IsQuotaExhausted(err):
 					rejected++
 				default:
 					t.Errorf("unexpected submit error: %v", err)
 				}
 				mu.Unlock()
-				if err != nil {
-					// Brief backoff lets in-flight jobs release slots so
-					// the run makes progress instead of spinning on 429s.
-					time.Sleep(2 * time.Millisecond)
-				}
 			}
 		}(g)
 	}
@@ -313,18 +320,25 @@ func TestTwoTenantsNeverExceedCaps(t *testing.T) {
 	close(stopSample)
 	<-sampleDone
 
-	if admitted == 0 {
-		t.Fatal("no job was ever admitted")
+	for _, tn := range []string{"a", "b"} {
+		if admitted[tn] != cap/width {
+			t.Errorf("tenant %s admitted %d jobs, want %d", tn, admitted[tn], cap/width)
+		}
 	}
-	if rejected == 0 {
-		t.Error("caps never tripped: widen the load or shrink the caps")
+	if want := submits - 2*cap/width; rejected != want {
+		t.Errorf("%d submits refused, want %d", rejected, want)
 	}
 
-	// Drain and assert the registry returns to zero outstanding usage.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	// Drain, aborting the admitted jobs, and assert the registry returns
+	// to zero outstanding usage.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := svc.Drain(ctx); err != nil {
+	aborted, err := svc.Drain(ctx)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if aborted != 2*cap/width {
+		t.Errorf("drain aborted %d jobs, want %d", aborted, 2*cap/width)
 	}
 	for _, st := range svc.TenantStatuses() {
 		if st.SlotsInUse != 0 || st.TasksInFlight != 0 || st.JobsPending != 0 {

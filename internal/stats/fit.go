@@ -116,14 +116,24 @@ func (e Empirical) String() string {
 // a distribution with an analytic CDF: the supremum over the sample points
 // of |F_n(x) - F(x)|. The trace fitter uses it to pick between candidate
 // parametric fits and to decide when to fall back to Empirical. The input
-// need not be sorted; it is copied.
+// need not be sorted; it is copied and sorted, then handed to
+// KSDistanceSorted.
 func KSDistance(samples []float64, dist CDFer) float64 {
-	n := len(samples)
-	if n == 0 {
+	if len(samples) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
+	return KSDistanceSorted(sorted, dist)
+}
+
+// KSDistanceSorted is KSDistance over a sample the caller already holds in
+// ascending order; it neither copies nor allocates. Callers that keep a
+// sorted window (the online estimator) skip the per-call sort this way.
+// The type parameter lets a concrete distribution pass without boxing it
+// in an interface, which would cost an allocation per call.
+func KSDistanceSorted[D CDFer](sorted []float64, dist D) float64 {
+	n := len(sorted)
 	var sup float64
 	for i, x := range sorted {
 		f := dist.CDF(x)

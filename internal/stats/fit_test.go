@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -130,5 +131,35 @@ func TestKSDistance(t *testing.T) {
 	}
 	if d := KSDistance(nil, dist); d != 0 {
 		t.Errorf("KS of empty sample = %v, want 0", d)
+	}
+}
+
+// TestKSDistanceSortedBitEqual checks that KSDistanceSorted over a sorted
+// copy returns exactly KSDistance's bits, on samples with and without
+// ties, against several fitted and mismatched distributions.
+func TestKSDistanceSortedBitEqual(t *testing.T) {
+	rng := NewRNG(11)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = Pareto{Alpha: 1.6, Xm: 1}.Sample(rng)
+			if trial%2 == 1 {
+				samples[i] = float64(1 + rng.Intn(8)) // heavy ties
+			}
+		}
+		sorted := append([]float64(nil), samples...)
+		sort.Float64s(sorted)
+		for _, dist := range []CDFer{
+			Pareto{Alpha: 1.6, Xm: 1}, Pareto{Alpha: 3, Xm: 0.5}, Exponential{Rate: 0.7},
+		} {
+			want, got := KSDistance(samples, dist), KSDistanceSorted(sorted, dist)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, %v: KSDistanceSorted = %v, KSDistance = %v", trial, dist, got, want)
+			}
+		}
+	}
+	if d := KSDistanceSorted(nil, Exponential{Rate: 1}); d != 0 {
+		t.Errorf("KSDistanceSorted of empty sample = %v, want 0", d)
 	}
 }
