@@ -12,6 +12,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ssr/internal/dag"
@@ -23,8 +24,18 @@ import (
 // msOf converts a virtual duration/timestamp to wire milliseconds.
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// durOf converts wire milliseconds to a duration.
+// durOf converts wire milliseconds to a duration. Validate has checked
+// that the nanosecond count fits an int64.
 func durOf(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
+
+// validWireMs reports whether ms is a positive duration whose nanosecond
+// count converts to an int64 exactly as written: converting a float past
+// the int64 range is implementation-defined in Go. The product is compared
+// with 2^63 itself, because math.MaxInt64/1e6 rounds to a float whose
+// product with 1e6 is 2^63, one past the range. NaN fails both tests.
+func validWireMs(ms float64) bool {
+	return ms > 0 && ms*float64(time.Millisecond) < math.MaxInt64
+}
 
 // PhaseSpec describes one phase of a submitted job on the wire.
 type PhaseSpec struct {
@@ -97,8 +108,15 @@ func (s JobSpec) Validate() error {
 				s.Name, i, len(ph.CopyDurationsMs), len(ph.DurationsMs))
 		}
 		for _, ms := range ph.DurationsMs {
-			if ms <= 0 {
-				return fmt.Errorf("service: job %q phase %d has a non-positive task duration", s.Name, i)
+			if !validWireMs(ms) {
+				return fmt.Errorf("service: job %q phase %d task duration %vms must be positive and under 2^63 ns",
+					s.Name, i, ms)
+			}
+		}
+		for _, ms := range ph.CopyDurationsMs {
+			if !validWireMs(ms) {
+				return fmt.Errorf("service: job %q phase %d copy duration %vms must be positive and under 2^63 ns",
+					s.Name, i, ms)
 			}
 		}
 		for _, dep := range ph.Deps {

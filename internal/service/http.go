@@ -226,7 +226,7 @@ func NewHandler(svc *Service) http.Handler {
 		notice := time.Second
 		if v := r.URL.Query().Get("noticeMs"); v != "" {
 			ms, err := strconv.ParseFloat(v, 64)
-			if err != nil || ms <= 0 {
+			if err != nil || !validWireMs(ms) {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("bad noticeMs %q", v))
 				return
 			}

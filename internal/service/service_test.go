@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"sync"
@@ -51,6 +52,11 @@ func TestJobSpecValidate(t *testing.T) {
 		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{-1}}}},
 		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{1}, Deps: []int{5}}}},
 		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{1}, CopyDurationsMs: []float64{1, 2}}}},
+		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{1e13}}}},
+		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{math.MaxInt64 / 1e6}}}},
+		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{math.NaN()}}}},
+		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{1}, CopyDurationsMs: []float64{0}}}},
+		{Name: "x", Phases: []PhaseSpec{{DurationsMs: []float64{1}, CopyDurationsMs: []float64{1e13}}}},
 		{Name: "x", Class: "interactive", Phases: []PhaseSpec{{DurationsMs: []float64{1}}}},
 	}
 	for i, spec := range bad {
@@ -60,6 +66,19 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 	if err := tinySpec("ok", 5).Validate(); err != nil {
 		t.Errorf("good spec rejected: %v", err)
+	}
+	// The largest valid duration still builds to its exact nanosecond count.
+	longest := math.Nextafter(math.MaxInt64/1e6, 0)
+	spec := JobSpec{Name: "long", Phases: []PhaseSpec{{DurationsMs: []float64{longest}, CopyDurationsMs: []float64{longest}}}}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("longest representable duration rejected: %v", err)
+	}
+	job, err := spec.build(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := job.Phase(0).Tasks[0].Duration, time.Duration(longest*1e6); got != want || got <= 0 {
+		t.Errorf("longest duration built as %v, want %v", got, want)
 	}
 }
 
@@ -190,28 +209,48 @@ func TestServiceEndToEnd(t *testing.T) {
 	defer ts.Close()
 	cli := NewClient(ts.URL)
 
-	// Stream events from the start; stop once every job is terminal.
+	// Stream events from the start; stop once every job is terminal. The
+	// bus drops a subscriber that lags a full buffer behind (possible when
+	// a loaded machine starves the SSE handler during a burst), which ends
+	// the stream cleanly; the client then resumes after the last event it
+	// saw, the Last-Event-ID contract, so the merged stream must still be
+	// gap-free.
 	streamCtx, stopStream := context.WithCancel(context.Background())
 	defer stopStream()
 	var (
 		evMu     sync.Mutex
 		events   []Event
 		terminal int
+		resumes  int
 	)
 	streamDone := make(chan error, 1)
 	go func() {
-		streamDone <- cli.StreamEvents(streamCtx, 0, func(ev Event) error {
-			evMu.Lock()
-			events = append(events, ev)
-			if ev.Type == "job_done" || ev.Type == "job_fail" {
-				terminal++
-				if terminal == jobs {
-					stopStream()
+		var lastSeq uint64
+		for {
+			err := cli.StreamEvents(streamCtx, lastSeq+1, func(ev Event) error {
+				if ev.Seq != lastSeq+1 {
+					return fmt.Errorf("event seq %d follows %d: stream has a gap or a duplicate", ev.Seq, lastSeq)
 				}
+				lastSeq = ev.Seq
+				evMu.Lock()
+				events = append(events, ev)
+				if ev.Type == "job_done" || ev.Type == "job_fail" {
+					terminal++
+					if terminal == jobs {
+						stopStream()
+					}
+				}
+				evMu.Unlock()
+				return nil
+			})
+			if err != nil || streamCtx.Err() != nil {
+				streamDone <- err
+				return
 			}
+			evMu.Lock()
+			resumes++
 			evMu.Unlock()
-			return nil
-		})
+		}
 	}()
 
 	// Submit concurrently from several client goroutines.
@@ -278,6 +317,7 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	evMu.Lock()
 	stream := append([]Event(nil), events...)
+	resumed := resumes
 	evMu.Unlock()
 	checkWireCausalOrder(t, stream)
 	starts, dones := 0, 0
@@ -337,6 +377,13 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	if ms.EventsPublished == 0 || ms.Draining {
 		t.Errorf("metrics stream state = %+v", ms)
+	}
+	// Only a lagging drop ends the stream early.
+	if resumed > ms.DroppedSubscribers {
+		t.Errorf("stream resumed %d times but the bus dropped %d subscribers", resumed, ms.DroppedSubscribers)
+	}
+	if resumed > 0 {
+		t.Logf("stream resumed %d times after lagging drops", resumed)
 	}
 	// 100 x 5 tasks ran; the trace recorder saw each attempt.
 	if svc.Trace() == nil || svc.Trace().Len() < jobs*5 {

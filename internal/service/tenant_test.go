@@ -61,6 +61,11 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 		{"submit bad json", "POST", "/v1/jobs", "{not json", http.StatusBadRequest, CodeInvalidArgument},
 		{"submit invalid spec", "POST", "/v1/jobs", `{"name":"x"}`, http.StatusBadRequest, CodeInvalidArgument},
 		{"submit bad tenant name", "POST", "/v1/jobs", `{"name":"x","tenant":"no spaces","phases":[{"durationsMs":[1]}]}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit task duration overflows", "POST", "/v1/jobs", `{"name":"x","phases":[{"durationsMs":[1e13]}]}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit copy duration overflows", "POST", "/v1/jobs", `{"name":"x","phases":[{"durationsMs":[1],"copyDurationsMs":[1e13]}]}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit negative copy duration", "POST", "/v1/jobs", `{"name":"x","phases":[{"durationsMs":[1],"copyDurationsMs":[-1]}]}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"drain notice overflows", "POST", "/v1/nodes/0/drain?noticeMs=1e13", "", http.StatusBadRequest, CodeInvalidArgument},
+		{"drain notice NaN", "POST", "/v1/nodes/0/drain?noticeMs=NaN", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"list bad limit", "GET", "/v1/jobs?limit=abc", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"list negative limit", "GET", "/v1/jobs?limit=-2", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"list bad after", "GET", "/v1/jobs?after=xyz", "", http.StatusBadRequest, CodeInvalidArgument},

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -27,7 +26,6 @@ var ErrHalted = errors.New("sim: engine halted")
 type Timer struct {
 	eng *Engine
 	at  Time
-	seq uint64
 	fn  func()
 	// fnArg/arg are the allocation-free callback form (AtArg): a shared
 	// function plus a per-event argument, so hot paths that schedule one
@@ -73,7 +71,7 @@ func (t *Timer) Live() bool { return !t.fired && !t.canceled }
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   timerHeap
+	queue   eventQueue
 	halted  bool
 	stepped uint64
 	// canceled counts dead (canceled but not yet popped) timers in the
@@ -98,9 +96,10 @@ func (e *Engine) Events() uint64 { return e.stepped }
 // timers awaiting lazy removal from the queue are not counted.
 func (e *Engine) Pending() int { return len(e.queue) - e.canceled }
 
-// newTimer takes a Timer from the free list (or allocates one) and fully
+// newTimer takes a Timer from the free list (or allocates one), fully
 // resets it, so no state from a previous life — cancellation, release
-// marks, stale callbacks — can leak into the new event.
+// marks, stale callbacks — can leak into the new event, and queues it at
+// t under the next sequence number.
 func (e *Engine) newTimer(t Time) *Timer {
 	var tm *Timer
 	if n := len(e.free); n > 0 {
@@ -113,8 +112,8 @@ func (e *Engine) newTimer(t Time) *Timer {
 	}
 	tm.eng = e
 	tm.at = t
-	tm.seq = e.seq
 	tm.inq = true
+	e.queue.push(event{at: t, seq: e.seq, tm: tm})
 	e.seq++
 	return tm
 }
@@ -129,7 +128,6 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	}
 	tm := e.newTimer(t)
 	tm.fn = fn
-	heap.Push(&e.queue, tm)
 	return tm
 }
 
@@ -144,7 +142,6 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Timer {
 	tm := e.newTimer(t)
 	tm.fnArg = fn
 	tm.arg = arg
-	heap.Push(&e.queue, tm)
 	return tm
 }
 
@@ -234,23 +231,21 @@ func (e *Engine) maybeCompact() {
 		return
 	}
 	kept := e.queue[:0]
-	for _, tm := range e.queue {
-		if !tm.canceled {
-			kept = append(kept, tm)
+	for _, ev := range e.queue {
+		if !ev.tm.canceled {
+			kept = append(kept, ev)
 			continue
 		}
-		tm.inq = false
-		if tm.release {
-			e.recycle(tm)
+		ev.tm.inq = false
+		if ev.tm.release {
+			e.recycle(ev.tm)
 		}
 	}
 	// Zero the tail so dropped timers are collectable.
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
+	clear(e.queue[len(kept):])
 	e.queue = kept
 	e.canceled = 0
-	heap.Init(&e.queue)
+	e.queue.init()
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
@@ -258,10 +253,7 @@ func (e *Engine) maybeCompact() {
 // canceled timers remain).
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		tm, ok := heap.Pop(&e.queue).(*Timer)
-		if !ok {
-			panic("sim: heap contained a non-timer element")
-		}
+		tm := e.queue.pop()
 		tm.inq = false
 		if tm.canceled {
 			e.canceled--
@@ -328,11 +320,11 @@ func (e *Engine) RunUntil(deadline Time) error {
 // timers it encounters on the way.
 func (e *Engine) peek() *Timer {
 	for len(e.queue) > 0 {
-		tm := e.queue[0]
+		tm := e.queue[0].tm
 		if !tm.canceled {
 			return tm
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		tm.inq = false
 		e.canceled--
 		if tm.release {
@@ -342,33 +334,83 @@ func (e *Engine) peek() *Timer {
 	return nil
 }
 
-// timerHeap orders timers by (at, seq).
-type timerHeap []*Timer
-
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// event is one queue entry. The ordering key (at, seq) is held inline, so
+// sifting compares entries without dereferencing their timers. seq is
+// unique, which makes (at, seq) a strict total order: any correct min-heap
+// pops the same sequence, and events sharing a timestamp fire FIFO.
+type event struct {
+	at  Time
+	seq uint64
+	tm  *Timer
 }
 
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *timerHeap) Push(x any) {
-	tm, ok := x.(*Timer)
-	if !ok {
-		panic("sim: pushed a non-timer element")
-	}
-	*h = append(*h, tm)
+func (a event) before(b event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	tm := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return tm
+// eventQueue is a 4-ary min-heap of events: children of i sit at
+// 4i+1..4i+4. The wider fan-out halves the depth of a binary heap, and the
+// four children share a cache line or two.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	*q = h
+}
+
+// pop removes and returns the earliest entry's timer; the queue must be
+// non-empty.
+func (q *eventQueue) pop() *Timer {
+	h := *q
+	top := h[0].tm
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		h.siftDown(0, last)
+	}
+	*q = h
+	return top
+}
+
+// init restores the heap order over arbitrary contents, sifting down from
+// the last parent, (len-2)/4.
+func (q eventQueue) init() {
+	for i := (len(q)+2)/4 - 1; i >= 0; i-- {
+		q.siftDown(i, q[i])
+	}
+}
+
+// siftDown places ev at slot i or below, moving smaller children up.
+func (q eventQueue) siftDown(i int, ev event) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if q[k].before(q[m]) {
+				m = k
+			}
+		}
+		if !q[m].before(ev) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = ev
 }

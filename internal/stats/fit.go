@@ -132,23 +132,95 @@ func KSDistance(samples []float64, dist CDFer) float64 {
 // sorted window (the online estimator) skip the per-call sort this way.
 // The type parameter lets a concrete distribution pass without boxing it
 // in an interface, which would cost an allocation per call.
+//
+// The CDF is evaluated only where a sample could set the supremum. Sample
+// i contributes the two sides of the empirical CDF's jump there,
+// max(|F(x_i) − i/n|, |F(x_i) − (i+1)/n|). Because F is non-decreasing and
+// the sample sorted, every sample strictly inside a block [a, b] whose end
+// values are known contributes at most
+// max(b/n − F(x_a), F(x_b) − (a+1)/n). The scan evaluates a stride-16 grid
+// of block ends first, then bisects only the blocks whose bound, plus
+// ksMargin, reaches the running supremum. The result is the largest of a
+// subset of the same exactly computed terms, and no term left out can
+// exceed it, so it is bit-for-bit the full scan's.
 func KSDistanceSorted[D CDFer](sorted []float64, dist D) float64 {
 	n := len(sorted)
-	var sup float64
-	for i, x := range sorted {
-		f := dist.CDF(x)
-		// The empirical CDF jumps from i/n to (i+1)/n at x; the supremum
-		// of the difference is attained at one side of the jump.
-		lo := math.Abs(f - float64(i)/float64(n))
-		hi := math.Abs(f - float64(i+1)/float64(n))
-		if lo > sup {
-			sup = lo
-		}
-		if hi > sup {
-			sup = hi
-		}
+	if n == 0 {
+		return 0
 	}
-	return sup
+	s := ksScan[D]{sorted: sorted, dist: dist, n: float64(n)}
+	last := n - 1
+	// grid holds one segment's block-end CDF values; a segment spans
+	// ksSegment blocks, so samples of up to ksSegment*ksStride+1 points
+	// are one segment and larger ones are scanned segment by segment.
+	var grid [ksSegment + 1]float64
+	grid[0] = s.eval(0)
+	for a := 0; a < last; {
+		k, b := 0, a
+		for k < ksSegment && b < last {
+			b = min(b+ksStride, last)
+			k++
+			grid[k] = s.eval(b)
+		}
+		for i := 0; i < k; i++ {
+			lo := a + i*ksStride
+			s.refine(lo, min(lo+ksStride, last), grid[i], grid[i+1])
+		}
+		a, grid[0] = b, grid[k]
+	}
+	return s.sup
+}
+
+const (
+	// ksStride is the spacing of the first-pass grid of KSDistanceSorted.
+	ksStride = 16
+	// ksSegment is the number of grid blocks held at once.
+	ksSegment = 64
+	// ksMargin absorbs rounding in the pruning bound and ulp-level
+	// non-monotonicity of library CDFs (math.Pow, math.Exp), both orders
+	// of magnitude below it.
+	ksMargin = 1e-12
+)
+
+// ksScan is the state of one KSDistanceSorted call.
+type ksScan[D CDFer] struct {
+	sorted []float64
+	dist   D
+	n      float64
+	sup    float64
+}
+
+// eval computes F at sample i, folds the sample's two terms into the
+// supremum and returns F.
+func (s *ksScan[D]) eval(i int) float64 {
+	f := s.dist.CDF(s.sorted[i])
+	// The empirical CDF jumps from i/n to (i+1)/n at x; the supremum
+	// of the difference is attained at one side of the jump.
+	lo := math.Abs(f - float64(i)/s.n)
+	hi := math.Abs(f - float64(i+1)/s.n)
+	if lo > s.sup {
+		s.sup = lo
+	}
+	if hi > s.sup {
+		s.sup = hi
+	}
+	return f
+}
+
+// refine evaluates the samples strictly between a and b, whose CDF values
+// are fa and fb, wherever the block bound does not rule them out. A NaN
+// bound never rules a block out.
+func (s *ksScan[D]) refine(a, b int, fa, fb float64) {
+	for b-a > 1 {
+		bound := max(float64(b)/s.n-fa, fb-float64(a+1)/s.n)
+		if bound+ksMargin < s.sup {
+			return
+		}
+		m := (a + b) / 2
+		fm := s.eval(m)
+		s.refine(a, m, fa, fm)
+		a, fa = m, fm
+	}
 }
 
 // Compile-time interface checks for the empirical distribution.
